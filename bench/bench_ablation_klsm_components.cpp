@@ -21,6 +21,7 @@
 
 int main() {
   using namespace cpq::bench;
+  using namespace cpq::workloads;
   using K = cpq::bench_key;
   using V = cpq::bench_value;
 

@@ -17,6 +17,7 @@
 
 int main() {
   using namespace cpq::bench;
+  using namespace cpq::workloads;
   using cpq::KLsmQueue;
   using cpq::LindenQueue;
   using K = cpq::bench_key;

@@ -17,6 +17,7 @@
 
 int main() {
   using namespace cpq::bench;
+  using namespace cpq::workloads;
   using K = cpq::bench_key;
   using V = cpq::bench_value;
   using BinaryMq = cpq::MultiQueue<K, V>;

@@ -21,14 +21,13 @@
 
 #include "bench_common.hpp"
 #include "queues/multiqueue.hpp"
-#include "queues/multiqueue_eng.hpp"
 
 int main() {
   using namespace cpq::bench;
+  using namespace cpq::workloads;
   using K = cpq::bench_key;
   using V = cpq::bench_value;
-  using ClassicMq = cpq::MultiQueue<K, V>;
-  using EngMq = cpq::EngMultiQueue<K, V>;
+  using Mq = cpq::MultiQueue<K, V>;
 
   const Options options = options_from_env();
   print_bench_header("bench_ablation_multiqueue_sticky",
@@ -98,11 +97,11 @@ int main() {
       for (const Cell& cell : sweeps[sweep]) {
         const cpq::MqEngConfig config = cell.config;
         run_cell(cell.column, [config](unsigned t, std::uint64_t seed) {
-          return std::make_unique<EngMq>(t, config, seed);
+          return std::make_unique<Mq>(t, config, seed);
         });
       }
       run_cell("mq (classic)", [](unsigned t, std::uint64_t seed) {
-        return std::make_unique<ClassicMq>(t, 4, seed);
+        return std::make_unique<Mq>(t, 4, seed);
       });
       tput.add_row(std::to_string(threads), std::move(tput_cells));
       rank.add_row(std::to_string(threads), std::move(rank_cells));

@@ -23,6 +23,7 @@
 
 int main() {
   using namespace cpq::bench;
+  using namespace cpq::workloads;
   const Options options = options_from_env();
   print_bench_header("bench_appendix_queues",
                      "appendix D comparisons: hunt/slotan/mound/cbpq vs "

@@ -10,6 +10,7 @@
 
 int main() {
   using namespace cpq::bench;
+  using namespace cpq::workloads;
   const Options options = options_from_env();
   print_bench_header("bench_fig1_uniform_uniform",
                      "Fig. 1 / Fig. 4a (mars): uniform workload, uniform "

@@ -12,6 +12,7 @@
 
 int main() {
   using namespace cpq::bench;
+  using namespace cpq::workloads;
   const Options options = options_from_env();
   print_bench_header("bench_fig2_split_ascending",
                      "Fig. 2 / Fig. 4e (mars): split workload, ascending keys",

@@ -12,6 +12,7 @@
 
 int main() {
   using namespace cpq::bench;
+  using namespace cpq::workloads;
   const Options options = options_from_env();
   print_bench_header(
       "bench_fig3_uniform_8bit",

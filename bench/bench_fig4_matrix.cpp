@@ -10,6 +10,7 @@
 
 int main() {
   using namespace cpq::bench;
+  using namespace cpq::workloads;
   const Options options = options_from_env();
   print_bench_header("bench_fig4_matrix",
                      "Fig. 4a-h (mars), Figs. 5-7 (saturn/ceres/pluto via "

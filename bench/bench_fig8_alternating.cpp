@@ -12,6 +12,7 @@
 
 int main() {
   using namespace cpq::bench;
+  using namespace cpq::workloads;
   const Options options = options_from_env();
   print_bench_header("bench_fig8_alternating",
                      "Fig. 8a-c (mars), Fig. 8d-f / 9 (other machines via "

@@ -14,6 +14,7 @@
 
 int main() {
   using namespace cpq::bench;
+  using namespace cpq::workloads;
   const Options options = options_from_env();
   print_bench_header("bench_latency",
                      "per-op latency percentiles (paper §F latency switch), "

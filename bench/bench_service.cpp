@@ -44,6 +44,7 @@
 
 int main(int argc, char** argv) {
   using namespace cpq::bench;
+  using namespace cpq::workloads;
 
   std::string chaos_file;
   std::string chaos_queue = "mq";

@@ -28,6 +28,7 @@
 
 int main() {
   using namespace cpq::bench;
+  using namespace cpq::workloads;
   const Options options = options_from_env();
   print_bench_header("bench_skew",
                      "X9: skewed/bursty adversarial workloads + "

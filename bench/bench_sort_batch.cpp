@@ -15,6 +15,7 @@
 
 int main() {
   using namespace cpq::bench;
+  using namespace cpq::workloads;
   const Options options = options_from_env();
   print_bench_header("bench_sort_batch",
                      "Larkin-Sen-Tarjan-style sorting phases: pure-insert "

@@ -13,6 +13,7 @@
 
 int main() {
   using namespace cpq::bench;
+  using namespace cpq::workloads;
   const Options options = options_from_env();
   print_bench_header("bench_table1_rank_error",
                      "Table 1 / Table 2a (mars): rank error, uniform "

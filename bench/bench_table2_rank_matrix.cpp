@@ -10,6 +10,7 @@
 
 int main() {
   using namespace cpq::bench;
+  using namespace cpq::workloads;
   const Options options = options_from_env();
   print_bench_header("bench_table2_rank_matrix",
                      "Table 2a-h (mars), Tables 3-4 (saturn/ceres via "

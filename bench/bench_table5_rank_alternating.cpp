@@ -6,6 +6,7 @@
 
 int main() {
   using namespace cpq::bench;
+  using namespace cpq::workloads;
   const Options options = options_from_env();
   print_bench_header("bench_table5_rank_alternating",
                      "Table 5 (mars panels; others via CPQ_THREADS): rank "

@@ -90,6 +90,8 @@ namespace {
 
 using namespace cpq::bench;
 
+using namespace cpq::workloads;
+
 bool parse_flag(const char* arg, const char* name, std::string& value) {
   const std::size_t len = std::strlen(name);
   if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {

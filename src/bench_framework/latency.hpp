@@ -3,8 +3,8 @@
 // time (latency) for this number and mix of operations measured."
 //
 // Every thread executes a fixed number of operations and timestamps each
-// one individually (RDTSCP, calibrated against the wall clock per
-// repetition). Per-operation latencies are recorded into per-thread
+// one individually (RDTSCP, converted to ns by the process-wide TscClock
+// calibration). Per-operation latencies are recorded into per-thread
 // log-linear histograms (src/obs/histogram.hpp) — O(1) memory per
 // operation, so the mode runs in bounded memory at any operation count —
 // and split by operation type. Percentiles summarize the merged
@@ -22,6 +22,7 @@
 
 #include "bench_framework/harness.hpp"
 #include "obs/histogram.hpp"
+#include "platform/clock.hpp"
 #include "platform/thread_util.hpp"
 #include "platform/timing.hpp"
 
@@ -91,16 +92,14 @@ inline LatencyPercentiles percentiles_of(const obs::LogHistogram& hist) {
 template <typename Factory>
 LatencyResult run_latency(Factory&& make_queue, const BenchConfig& cfg) {
   LatencyResult result;
+  // First use pays the one calibration spin, outside every measured rep.
+  const double ns_per_tick = tsc_clock().ns_per_tick();
 
   for (unsigned rep = 0; rep < cfg.repetitions; ++rep) {
     const std::uint64_t seed = cfg.seed + 31337ULL * rep;
     try {
       auto queue = make_queue(cfg.threads, seed);
       prefill_queue(*queue, cfg, seed, nullptr);
-
-      // Calibrate fast_timestamp ticks against wall time for this rep.
-      const std::uint64_t tsc0 = fast_timestamp();
-      Stopwatch calibration;
 
       // Tick-domain recordings, one histogram pair per thread (single
       // writer); scaled into the nanosecond accumulators after the join.
@@ -109,10 +108,10 @@ LatencyResult run_latency(Factory&& make_queue, const BenchConfig& cfg) {
       SpinBarrier barrier(cfg.threads);
       run_team(cfg.threads, [&](unsigned tid) {
         auto handle = queue->get_handle(tid);
-        KeyGenerator gen(cfg.keys, seed, tid);
-        OpChooser chooser(cfg.workload, tid, cfg.threads, seed,
-                          cfg.insert_fraction, cfg.batch_size,
-                          cfg.producer_fraction);
+        workloads::KeyGenerator gen(cfg.keys, seed, tid);
+        workloads::OpChooser chooser(cfg.workload, tid, cfg.threads, seed,
+                                     cfg.insert_fraction, cfg.batch_size,
+                                     cfg.producer_fraction);
         auto& my_ins = ins[tid];
         auto& my_del = del[tid];
         std::uint64_t counter = 0;
@@ -139,9 +138,6 @@ LatencyResult run_latency(Factory&& make_queue, const BenchConfig& cfg) {
         }
       }, cfg.pin_threads);
 
-      const double ns_per_tick =
-          static_cast<double>(calibration.elapsed_ns()) /
-          static_cast<double>(fast_timestamp() - tsc0);
       for (unsigned tid = 0; tid < cfg.threads; ++tid) {
         result.insert_ns.add_scaled(ins[tid], ns_per_tick);
         result.delete_ns.add_scaled(del[tid], ns_per_tick);
@@ -202,7 +198,7 @@ std::pair<double, double> run_sort_phases(Factory&& make_queue,
     std::atomic<std::uint64_t> remaining{total};
     run_team(cfg.threads, [&](unsigned tid) {
       auto handle = queue->get_handle(tid);
-      KeyGenerator gen(cfg.keys, seed, tid);
+      workloads::KeyGenerator gen(cfg.keys, seed, tid);
       barrier.arrive_and_wait();
       stamps[tid].value.insert_start = now_ns();
       for (std::uint64_t i = 0; i < per_thread; ++i) {

@@ -12,10 +12,10 @@
 #include "queues/linden.hpp"
 #include "queues/mound.hpp"
 #include "queues/multiqueue.hpp"
-#include "queues/multiqueue_eng.hpp"
 #include "queues/shavit_lotan.hpp"
 #include "queues/spraylist.hpp"
 #include "queues/sundell_tsigas.hpp"
+#include "seq/binary_heap.hpp"
 #include "seq/dary_heap.hpp"
 #include "seq/pairing_heap.hpp"
 
@@ -26,13 +26,15 @@ namespace {
 using K = bench_key;
 using V = bench_value;
 
-// The MultiQueue family self-reports its (tuning-dependent) soft rank
-// bound; keep the registry honest about reading it from the queues rather
+// The MultiQueue self-reports its (configuration-dependent) soft rank
+// bound; keep the registry honest about reading it from the queue rather
 // than duplicating the formula.
 static_assert(RelaxationSelfReporting<MultiQueue<K, V>>);
-static_assert(RelaxationSelfReporting<EngMultiQueue<K, V>>);
 
-// Engineered-variant configs derive from the CLI-tunable mq_tuning():
+// The paper's MultiQueue pins c=4 with per-op draws and no buffers.
+constexpr MqEngConfig kPaperMq{4, 1, 0, 0};
+
+// Engineered configs derive from the CLI-tunable mq_tuning():
 // mq-buf = buffers only, mq-sticky = sticky rounds only, mq-eng = both.
 MqEngConfig eng_config(bool sticky, bool buffered) {
   const MqTuning& tuning = mq_tuning();
@@ -113,6 +115,26 @@ QueueSpec make_spec(std::string name, std::string description, bool strict,
   return spec;
 }
 
+// Register one configuration of the MultiQueue. `config` is read when a
+// cell starts, so the engineered entries follow the CLI's mq_tuning(). The
+// rank error is O((c*s + ins + del)P) only in expectation: a soft bound,
+// self-reported by the queue, shown by the live estimator for context and
+// never counted as a violation.
+template <typename SeqQueue = seq::BinaryHeap<K, V>, typename Config>
+void add_multiqueue(std::vector<QueueSpec>& registry, std::string name,
+                    std::string description, bool in_paper, Config config) {
+  using Queue = MultiQueue<K, V, SeqQueue>;
+  registry.push_back(make_spec(
+      std::move(name), std::move(description), /*strict=*/false, in_paper,
+      [config](unsigned threads, std::uint64_t seed, const BenchConfig&) {
+        return std::make_unique<Queue>(threads, config(), seed);
+      }));
+  registry.back().rank_bound = [config](unsigned threads) {
+    return Queue::soft_rank_bound(config(), threads);
+  };
+  registry.back().rank_bound_hard = false;
+}
+
 std::vector<QueueSpec> build_registry() {
   std::vector<QueueSpec> registry;
 
@@ -146,19 +168,8 @@ std::vector<QueueSpec> build_registry() {
         return std::make_unique<SprayList<K, V>>(threads, 1, seed);
       }));
 
-  registry.push_back(make_spec(
-      "mq", "MultiQueue, c=4, binary-heap backed",
-      /*strict=*/false, /*in_paper=*/true,
-      [](unsigned threads, std::uint64_t seed, const BenchConfig&) {
-        return std::make_unique<MultiQueue<K, V>>(threads, 4, seed);
-      }));
-  // The MultiQueue's rank error is O(cP) only in expectation — soft bound,
-  // self-reported by the queue (queue_traits.hpp RelaxationSelfReporting),
-  // shown by the live estimator for context, never a violation.
-  registry.back().rank_bound = [](unsigned threads) {
-    return MultiQueue<K, V>(1, 4).soft_rank_bound(threads);
-  };
-  registry.back().rank_bound_hard = false;
+  add_multiqueue(registry, "mq", "MultiQueue, c=4, binary-heap backed",
+                 /*in_paper=*/true, [] { return kPaperMq; });
 
   for (const std::uint64_t k : {128ULL, 256ULL, 4096ULL}) {
     registry.push_back(make_spec(
@@ -206,70 +217,32 @@ std::vector<QueueSpec> build_registry() {
   };
   registry.back().rank_bound_hard = true;
 
-  registry.push_back(make_spec(
-      "mq-pairing", "MultiQueue, c=4, pairing-heap backed",
-      /*strict=*/false, /*in_paper=*/false,
-      [](unsigned threads, std::uint64_t seed, const BenchConfig&) {
-        return std::make_unique<
-            MultiQueue<K, V, seq::PairingHeap<K, V>>>(threads, 4, seed);
-      }));
-  registry.back().rank_bound = [](unsigned threads) {
-    return 4.0 * threads;
-  };
+  add_multiqueue<seq::PairingHeap<K, V>>(
+      registry, "mq-pairing", "MultiQueue, c=4, pairing-heap backed",
+      /*in_paper=*/false, [] { return kPaperMq; });
 
-  registry.push_back(make_spec(
-      "mq-dary", "MultiQueue, c=4, 4-ary-heap backed",
-      /*strict=*/false, /*in_paper=*/false,
-      [](unsigned threads, std::uint64_t seed, const BenchConfig&) {
-        return std::make_unique<
-            MultiQueue<K, V, seq::DaryHeap<K, V, 4>>>(threads, 4, seed);
-      }));
-  registry.back().rank_bound = [](unsigned threads) {
-    return 4.0 * threads;
-  };
+  add_multiqueue<seq::DaryHeap<K, V, 4>>(
+      registry, "mq-dary", "MultiQueue, c=4, 4-ary-heap backed",
+      /*in_paper=*/false, [] { return kPaperMq; });
 
-  // Engineered MultiQueues (Williams & Sanders, arXiv:2504.11652): the
+  // Engineered configurations (Williams & Sanders, arXiv:2504.11652): the
   // post-paper generation. All three trade rank error for locality, so the
-  // armed bound widens with the configured stickiness/buffers — read live
-  // from the queue's own soft_rank_bound at cell start, never hard.
-  registry.push_back(make_spec(
-      "mq-buf", "engineered MultiQueue: insertion+deletion buffers",
-      /*strict=*/false, /*in_paper=*/false,
-      [](unsigned threads, std::uint64_t seed, const BenchConfig&) {
-        return std::make_unique<EngMultiQueue<K, V>>(
-            threads, eng_config(/*sticky=*/false, /*buffered=*/true), seed);
-      }));
-  registry.back().rank_bound = [](unsigned threads) {
-    return EngMultiQueue<K, V>::soft_rank_bound(
-        eng_config(/*sticky=*/false, /*buffered=*/true), threads);
-  };
-  registry.back().rank_bound_hard = false;
+  // armed bound widens with the configured stickiness/buffers.
+  add_multiqueue(
+      registry, "mq-buf", "engineered MultiQueue: insertion+deletion buffers",
+      /*in_paper=*/false,
+      [] { return eng_config(/*sticky=*/false, /*buffered=*/true); });
 
-  registry.push_back(make_spec(
-      "mq-sticky", "engineered MultiQueue: sticky rounds (s ops per draw)",
-      /*strict=*/false, /*in_paper=*/false,
-      [](unsigned threads, std::uint64_t seed, const BenchConfig&) {
-        return std::make_unique<EngMultiQueue<K, V>>(
-            threads, eng_config(/*sticky=*/true, /*buffered=*/false), seed);
-      }));
-  registry.back().rank_bound = [](unsigned threads) {
-    return EngMultiQueue<K, V>::soft_rank_bound(
-        eng_config(/*sticky=*/true, /*buffered=*/false), threads);
-  };
-  registry.back().rank_bound_hard = false;
+  add_multiqueue(
+      registry, "mq-sticky",
+      "engineered MultiQueue: sticky rounds (s ops per draw)",
+      /*in_paper=*/false,
+      [] { return eng_config(/*sticky=*/true, /*buffered=*/false); });
 
-  registry.push_back(make_spec(
-      "mq-eng", "engineered MultiQueue: buffers + sticky rounds",
-      /*strict=*/false, /*in_paper=*/false,
-      [](unsigned threads, std::uint64_t seed, const BenchConfig&) {
-        return std::make_unique<EngMultiQueue<K, V>>(
-            threads, eng_config(/*sticky=*/true, /*buffered=*/true), seed);
-      }));
-  registry.back().rank_bound = [](unsigned threads) {
-    return EngMultiQueue<K, V>::soft_rank_bound(
-        eng_config(/*sticky=*/true, /*buffered=*/true), threads);
-  };
-  registry.back().rank_bound_hard = false;
+  add_multiqueue(
+      registry, "mq-eng", "engineered MultiQueue: buffers + sticky rounds",
+      /*in_paper=*/false,
+      [] { return eng_config(/*sticky=*/true, /*buffered=*/true); });
 
   registry.push_back(make_spec(
       "slotan", "Shavit-Lotan-style skiplist PQ, eager physical delete",

@@ -35,11 +35,6 @@
 
 namespace cpq::obs {
 
-// Back-compat shim: the process-wide calibration from platform/clock.hpp.
-// (Previously this spun its own 20 ms measurement per call; now every
-// consumer shares the TscClock's single one.)
-inline double calibrate_ns_per_tick() { return tsc_clock().ns_per_tick(); }
-
 // Write every live trace-ring event — plus, when `plane` is non-null and
 // has records, one counter event per telemetry sample per track — as a
 // Trace Event JSON document ({"traceEvents":[...]}). Returns the number of

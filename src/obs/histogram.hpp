@@ -14,7 +14,7 @@
 // maximum are tracked separately so max (and the q -> 1 limit) are not
 // quantized. Histograms merge bucket-wise (merge) or with a multiplicative
 // rescale (add_scaled) so per-thread tick-domain recordings can be folded
-// into one nanosecond-domain histogram after per-repetition calibration.
+// into one nanosecond-domain histogram with the TscClock's ns per tick.
 //
 // Single-writer: one histogram per recording thread, merged after joining.
 #pragma once

@@ -32,9 +32,7 @@ namespace cpq {
 //
 // Elsewhere the fallback is std::chrono::steady_clock, whose period is
 // nanoseconds on every platform we target (libstdc++/libc++ define
-// steady_clock::period as std::nano); the harnesses still calibrate ticks
-// against a wall-clock Stopwatch per repetition, so only monotonicity is
-// assumed, not the unit.
+// steady_clock::period as std::nano).
 //
 // To place one of these timestamps on the shared monotonic-ns timeline
 // (aligning it with telemetry records, Chrome trace events, and service

@@ -35,6 +35,7 @@
 #include "obs/metrics.hpp"
 #include "platform/cache.hpp"
 #include "platform/rng.hpp"
+#include "validation/fault_injection.hpp"
 
 namespace cpq::detail {
 
@@ -196,7 +197,16 @@ class SkiplistBase {
         // traversal is a dependent-load chain, and the next hop's header
         // line is the one miss we can overlap with this iteration.
         if (next != nullptr) prefetch_read(next);
-        if (is_marked(curr)) {
+        CPQ_INJECT("skiplist.snip");
+        // At level 0 the mark must come from curr_word itself: only a
+        // marked word's successor is final (inserts link behind unmarked
+        // words only), so snipping to the successor of an earlier,
+        // unmarked load could cut out a node linked behind curr since.
+        // Upper-level words carry no mark, and a link lost there only
+        // shortens a node.
+        const bool marked =
+            level == 0 ? word_marked(curr_word) : is_marked(curr);
+        if (marked) {
           // Snip curr out of this level (preserving pred's own level-0 mark
           // bit). Failure means pred's chain changed; reload and continue.
           const std::uintptr_t desired = pack(next, word_marked(pred_word));

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "bench_framework/harness.hpp"
-#include "bench_framework/keygen.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
@@ -50,6 +49,7 @@
 #include "validation/checked_queue.hpp"
 #include "validation/watchdog.hpp"
 #include "workloads/arrivals.hpp"
+#include "workloads/keyspace.hpp"
 
 namespace cpq::service {
 
@@ -66,7 +66,7 @@ struct ServiceBenchConfig {
   // takes precedence over arrival_hz.
   workloads::ArrivalConfig arrivals;
   std::size_t prefill = 0;
-  bench::KeyConfig keys = bench::KeyConfig::uniform(32);
+  workloads::KeyConfig keys = workloads::KeyConfig::uniform(32);
   ServiceConfig service;
   // Wrap the engine in validation::CheckedQueue and reconcile at the end
   // (combine with a CPQ_FAULT_INJECTION build for torture coverage).
@@ -124,8 +124,8 @@ void open_loop_run(Engine& engine, const ServiceBenchConfig& cfg,
 
   {  // Prefill through a scoped handle (service handles flush on exit).
     auto handle = engine.get_handle(0);
-    bench::KeyGenerator gen(cfg.keys, cfg.seed ^ 0x9e3779b9ULL,
-                            bench::detail::kPrefillThread);
+    workloads::KeyGenerator gen(cfg.keys, cfg.seed ^ 0x9e3779b9ULL,
+                                bench::detail::kPrefillThread);
     for (std::size_t i = 0; i < cfg.prefill; ++i) {
       const std::uint64_t key = gen.next();
       const std::uint64_t id =
@@ -198,7 +198,7 @@ void open_loop_run(Engine& engine, const ServiceBenchConfig& cfg,
       obs::TelemetryPlane& plane = obs::TelemetryPlane::global();
       const bool plane_on = plane.active();
       if (tid < cfg.producers) {
-        bench::KeyGenerator gen(cfg.keys, cfg.seed, tid);
+        workloads::KeyGenerator gen(cfg.keys, cfg.seed, tid);
         std::optional<workloads::ArrivalProcess> arrival;
         if (arrival_cfg.enabled()) {
           arrival.emplace(arrival_cfg, cfg.seed ^ 0xa441a1, tid);

@@ -12,15 +12,20 @@
 
 #include "bench_framework/harness.hpp"
 #include "bench_framework/json_out.hpp"
-#include "bench_framework/keygen.hpp"
 #include "bench_framework/latency.hpp"
 #include "bench_framework/options.hpp"
 #include "bench_framework/stats.hpp"
 #include "bench_framework/table.hpp"
-#include "bench_framework/workload.hpp"
+#include "workloads/keyspace.hpp"
+#include "workloads/shape.hpp"
 
 namespace cpq::bench {
 namespace {
+
+using workloads::KeyConfig;
+using workloads::KeyGenerator;
+using workloads::OpChooser;
+using workloads::Workload;
 
 // ---- JSON-lines output -------------------------------------------------
 

@@ -9,9 +9,7 @@
 #include <utility>
 #include <set>
 
-#include "bench_framework/keygen.hpp"
 #include "bench_framework/table.hpp"
-#include "bench_framework/workload.hpp"
 #include "mm/epoch.hpp"
 #include "platform/rng.hpp"
 #include "queues/cbpq.hpp"
@@ -19,6 +17,8 @@
 #include "queues/linden.hpp"
 #include "queues/mound.hpp"
 #include "queues/multiqueue.hpp"
+#include "workloads/keyspace.hpp"
+#include "workloads/shape.hpp"
 
 namespace cpq {
 namespace {
@@ -29,7 +29,7 @@ using V = std::uint64_t;
 // ---- key generator boundaries ---------------------------------------------
 
 TEST(EdgeKeyGen, SixtyFourBitMaskCoversFullRange) {
-  bench::KeyGenerator gen(bench::KeyConfig::uniform(64), 1, 0);
+  workloads::KeyGenerator gen(workloads::KeyConfig::uniform(64), 1, 0);
   bool high_bit_seen = false;
   for (int i = 0; i < 1000; ++i) {
     high_bit_seen |= (gen.next() >> 63) != 0;
@@ -38,18 +38,18 @@ TEST(EdgeKeyGen, SixtyFourBitMaskCoversFullRange) {
 }
 
 TEST(EdgeKeyGen, OneBitRange) {
-  bench::KeyGenerator gen(bench::KeyConfig::uniform(1), 1, 0);
+  workloads::KeyGenerator gen(workloads::KeyConfig::uniform(1), 1, 0);
   for (int i = 0; i < 100; ++i) EXPECT_LE(gen.next(), 1u);
 }
 
 TEST(EdgeWorkload, SplitWithOneThreadInserts) {
-  bench::OpChooser chooser(bench::Workload::kSplit, 0, 1, 1);
+  workloads::OpChooser chooser(workloads::Workload::kSplit, 0, 1, 1);
   EXPECT_TRUE(chooser.next_is_insert());
 }
 
 TEST(EdgeWorkload, ExtremeInsertFractions) {
-  bench::OpChooser all_ins(bench::Workload::kUniform, 0, 1, 1, 1.0);
-  bench::OpChooser all_del(bench::Workload::kUniform, 0, 1, 1, 0.0);
+  workloads::OpChooser all_ins(workloads::Workload::kUniform, 0, 1, 1, 1.0);
+  workloads::OpChooser all_del(workloads::Workload::kUniform, 0, 1, 1, 0.0);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_TRUE(all_ins.next_is_insert());
     EXPECT_FALSE(all_del.next_is_insert());

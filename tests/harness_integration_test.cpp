@@ -16,10 +16,14 @@
 
 #include "bench_framework/json_out.hpp"
 #include "bench_framework/registry.hpp"
-#include "queues/multiqueue_eng.hpp"
+#include "queues/multiqueue.hpp"
 
 namespace cpq::bench {
 namespace {
+
+using workloads::KeyConfig;
+using workloads::Workload;
+using workloads::workload_name;
 
 // Run the real cpq_bench_cli binary (path injected by CMake) with the given
 // arguments; returns its exit status and captures stdout.
@@ -145,7 +149,7 @@ TEST(Registry, EngineeredVariantsSelfReportWidenedSoftBounds) {
     cfg.del_buffer = variant.buffered ? tuning.buffer : 0;
     for (unsigned threads : {1u, 4u, 16u}) {
       EXPECT_EQ(spec->rank_bound(threads),
-                (EngMultiQueue<bench_key, bench_value>::soft_rank_bound(
+                (MultiQueue<bench_key, bench_value>::soft_rank_bound(
                     cfg, threads)))
           << variant.name << " t=" << threads;
       EXPECT_GT(spec->rank_bound(threads), mq->rank_bound(threads))

@@ -341,6 +341,35 @@ TEST(MultiQueueMaxKey, MaximalKeySortsAfterEverythingElse) {
   EXPECT_EQ(std::count(keys.begin(), keys.end(), 10u), 1);
 }
 
+// The paper's configuration ({c, 1, 0, 0}) stages nothing in a handle:
+// every item inserted through one handle is poppable through another while
+// the first is still alive, and unsafe_size() counts it before any handle
+// is destroyed. The buffered configurations of the same class may hide up
+// to ins_buffer + del_buffer items per live handle; this one must not.
+TEST(MultiQueuePaperConfig, LiveHandlesHideNoItems) {
+  MultiQueue<K, V> queue(2, 4, /*seed=*/7);
+  auto a = queue.get_handle(0);
+  auto b = queue.get_handle(1);
+  K k;
+  V v;
+  for (V i = 0; i < 32; ++i) {
+    a.insert(i, i);
+    EXPECT_EQ(queue.unsafe_size(), 1u);
+    ASSERT_TRUE(b.delete_min(k, v)) << "item " << i << " hidden in handle a";
+    EXPECT_EQ(v, i);
+    EXPECT_EQ(queue.unsafe_size(), 0u);
+  }
+  for (V i = 0; i < 100; ++i) a.insert(i, i);
+  EXPECT_EQ(queue.unsafe_size(), 100u);
+  std::set<V> values;
+  while (b.delete_min(k, v)) {
+    EXPECT_TRUE(values.insert(v).second) << "duplicated value " << v;
+    EXPECT_EQ(queue.unsafe_size(), 100u - values.size());
+  }
+  EXPECT_EQ(values.size(), 100u);
+  EXPECT_FALSE(a.delete_min(k, v));
+}
+
 TYPED_TEST(QueueSequentialTest, ManyHandlesOneThreadStillCorrect) {
   // Handles may be created freely; using several from one thread must not
   // confuse per-thread state.

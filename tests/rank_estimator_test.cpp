@@ -11,7 +11,6 @@
 #include "obs/metrics.hpp"
 #include "obs/rank_estimator.hpp"
 #include "queues/multiqueue.hpp"
-#include "queues/multiqueue_eng.hpp"
 
 namespace cpq::obs {
 namespace {
@@ -99,8 +98,8 @@ TEST(RankEstimatorTest, EngineeredMultiQueueBoundWidensAndArmsSoft) {
   MqEngConfig cfg;  // defaults: c=4, stickiness=8, buffers=16+16
   const MultiQueue<std::uint64_t, std::uint64_t> classic(1, cfg.c);
   const double widened =
-      EngMultiQueue<std::uint64_t, std::uint64_t>::soft_rank_bound(cfg,
-                                                                   kThreads);
+      MultiQueue<std::uint64_t, std::uint64_t>::soft_rank_bound(cfg,
+                                                                kThreads);
   EXPECT_EQ(widened, (4.0 * 8 + 16 + 16) * kThreads);
   EXPECT_GT(widened, classic.soft_rank_bound(kThreads));
 

@@ -36,7 +36,6 @@
 #include "queues/linden.hpp"
 #include "queues/mound.hpp"
 #include "queues/multiqueue.hpp"
-#include "queues/multiqueue_eng.hpp"
 #include "queues/shavit_lotan.hpp"
 #include "queues/spraylist.hpp"
 #include "queues/sundell_tsigas.hpp"
@@ -54,7 +53,6 @@ using K = std::uint64_t;
 using V = std::uint64_t;
 using MqPairing = MultiQueue<K, V, seq::PairingHeap<K, V>>;
 using MqDary = MultiQueue<K, V, seq::DaryHeap<K, V, 4>>;
-using MqEng = EngMultiQueue<K, V>;
 
 // Engineered-variant configs mirroring the registry's mq-buf / mq-sticky /
 // mq-eng entries (registry.cpp can't be linked here — ODR, see header).
@@ -65,6 +63,14 @@ MqEngConfig eng_config(unsigned stickiness, unsigned buffer) {
   cfg.del_buffer = buffer;
   return cfg;
 }
+
+// The combined mq-eng configuration: buffers and sticky rounds together
+// cross every buffer seam (flush, refill, spill) in one typed run. A type
+// of its own, so the typed roster can carry it beside MultiQueue<K, V>,
+// the paper's configuration of the same class.
+struct MqEng : MultiQueue<K, V> {
+  explicit MqEng(unsigned threads) : MultiQueue(threads, eng_config(8, 16)) {}
+};
 
 std::uint32_t torture_ppm() {
   if (const char* env = std::getenv("CPQ_INJECT_PPM")) {
@@ -106,9 +112,7 @@ std::unique_ptr<MqDary> make_queue(unsigned threads) {
 }
 template <>
 std::unique_ptr<MqEng> make_queue(unsigned threads) {
-  // The combined mq-eng configuration: buffers and sticky rounds together
-  // cross every new seam (flush, refill, spill) in one typed run.
-  return std::make_unique<MqEng>(threads, eng_config(8, 16));
+  return std::make_unique<MqEng>(threads);
 }
 template <>
 std::unique_ptr<KLsmQueue<K, V>> make_queue(unsigned threads) {
@@ -251,8 +255,8 @@ class EngMqTortureTest : public ::testing::Test {
   void contended_mix(const MqEngConfig& cfg, std::uint64_t seed) {
     constexpr unsigned kThreads = 4;
     constexpr std::uint64_t kOpsPerThread = 6000;
-    validation::CheckedQueue<MqEng> queue(
-        kThreads, std::make_unique<MqEng>(kThreads, cfg));
+    validation::CheckedQueue<MultiQueue<K, V>> queue(
+        kThreads, std::make_unique<MultiQueue<K, V>>(kThreads, cfg));
     run_team(kThreads, [&](unsigned tid) {
       auto handle = queue.get_handle(tid);
       Xoroshiro128 rng(thread_seed(seed, tid));
@@ -295,8 +299,8 @@ TEST_F(EngMqTortureTest, TinyBuffersMaximizeFlushSeamCrossings) {
 TEST_F(EngMqTortureTest, UnflushedInsertionBuffersSpillAtTeardown) {
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kPerThread = 7;  // < ins_buffer = 16
-  validation::CheckedQueue<MqEng> queue(
-      kThreads, std::make_unique<MqEng>(kThreads, eng_config(8, 16)));
+  validation::CheckedQueue<MqEng> queue(kThreads,
+                                        std::make_unique<MqEng>(kThreads));
   run_team(kThreads, [&](unsigned tid) {
     auto handle = queue.get_handle(tid);
     for (std::uint64_t i = 0; i < kPerThread; ++i) {
@@ -317,8 +321,7 @@ TEST_F(EngMqTortureTest, UnflushedInsertionBuffersSpillAtTeardown) {
 // lost with the handle.
 TEST_F(EngMqTortureTest, PartialDeletionBatchSpillsAtTeardown) {
   constexpr std::uint64_t kItems = 64;
-  validation::CheckedQueue<MqEng> queue(
-      1, std::make_unique<MqEng>(1, eng_config(8, 16)));
+  validation::CheckedQueue<MqEng> queue(1, std::make_unique<MqEng>(1));
   {
     auto handle = queue.get_handle(0);
     for (std::uint64_t i = 0; i < kItems; ++i) {
@@ -347,6 +350,56 @@ TEST_F(EngMqTortureTest, InjectedLockAndBufferSeamsStayConservative) {
   contended_mix(eng_config(/*stickiness=*/4, /*buffer=*/4), 0x704A);
   EXPECT_GT(validation::fault_injections_fired(), before)
       << "mq_eng.* injection seams compiled in but never crossed";
+}
+
+// ---- skiplist search: the level-0 snip window ----------------------------
+
+// search() snips a marked node out of a level by CASing its predecessor to
+// the successor it loaded. At level 0 that successor is only final once
+// the node is marked: an insert may link a node behind it between the
+// load and the mark, and a snip that takes its successor from an earlier,
+// unmarked load cuts the new node out with it. The skiplist.snip seam
+// stretches the window between loading the successor and deciding to
+// snip, so this interleaving happens on any core count. A narrow key
+// range keeps inserts landing next to the nodes being claimed.
+template <typename Q>
+class SkiplistSnipTortureTest : public ::testing::Test {
+ protected:
+  void TearDown() override { validation::fault_injection_configure(0, 42); }
+};
+
+using SkiplistTypes =
+    ::testing::Types<LindenQueue<K, V>, SprayList<K, V>,
+                     ShavitLotanQueue<K, V>, SundellTsigasQueue<K, V>>;
+TYPED_TEST_SUITE(SkiplistSnipTortureTest, SkiplistTypes);
+
+TYPED_TEST(SkiplistSnipTortureTest, InjectedSnipWindowLosesNoItems) {
+  validation::fault_injection_configure(/*ppm=*/50'000, /*seed=*/0x705A,
+                                        validation::FaultAction::kDelay,
+                                        "skiplist.snip");
+  const std::uint64_t before = validation::fault_injections_fired();
+  constexpr unsigned kThreads = 4;
+  constexpr std::uint64_t kOpsPerThread = 6000;
+  validation::CheckedQueue<TypeParam> queue(kThreads,
+                                            make_queue<TypeParam>(kThreads));
+  run_team(kThreads, [&](unsigned tid) {
+    auto handle = queue.get_handle(tid);
+    Xoroshiro128 rng(thread_seed(0x705B, tid));
+    std::uint64_t inserted = 0;
+    for (std::uint64_t op = 0; op < kOpsPerThread; ++op) {
+      if (rng.next_below(100) < 50) {
+        handle.insert(rng.next_below(64), value_of(tid, inserted++));
+      } else {
+        K k;
+        V v;
+        handle.delete_min(k, v);
+      }
+    }
+  });
+  const validation::ReconcileReport report = queue.reconcile();
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_GT(validation::fault_injections_fired(), before)
+      << "skiplist.snip seam compiled in but never crossed";
 }
 
 // ---- k-LSM merge path: drain-then-merge kernel and pooled blocks ---------
