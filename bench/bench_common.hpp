@@ -384,8 +384,7 @@ inline bool service_table(const std::string& label,
                 "threads", columns);
   Table latency(label + " — delete_min latency [ns] p50/p99 raw -> service",
                 "threads", columns);
-  Table overload(label + " — sojourn p99 [us] raw -> service"
-                         " (shed/reroutes/trips)",
+  Table overload(label + " — sojourn p99 [us] raw -> service (shed)",
                  "threads", columns);
   bool conserved = true;
   for (unsigned threads : options.thread_ladder) {
@@ -426,12 +425,9 @@ inline bool service_table(const std::string& label,
               ? comparison.service.sojourn_ns.quantile(0.99)
               : 0.0;
       const service::ServiceStats& sstats = comparison.service.stats;
-      std::snprintf(buf, sizeof(buf),
-                    "%.0f -> %.0f (%llu/%llu/%llu)", raw_sojourn_p99 / 1e3,
-                    svc_sojourn_p99 / 1e3,
-                    static_cast<unsigned long long>(sstats.shed_deadline),
-                    static_cast<unsigned long long>(sstats.reroutes),
-                    static_cast<unsigned long long>(sstats.breaker_trips));
+      std::snprintf(buf, sizeof(buf), "%.0f -> %.0f (%llu)",
+                    raw_sojourn_p99 / 1e3, svc_sojourn_p99 / 1e3,
+                    static_cast<unsigned long long>(sstats.shed_deadline));
       ocells.emplace_back(buf);
       JsonSink::instance().record({label, spec->name, "raw_tasks_per_s",
                                    total, comparison.raw.delivered_per_s,
@@ -459,14 +455,6 @@ inline bool service_table(const std::string& label,
       JsonSink::instance().record({label, spec->name,
                                    "service_tier_rejected", total,
                                    static_cast<double>(sstats.tier_rejected),
-                                   0.0, 1});
-      JsonSink::instance().record({label, spec->name, "service_reroutes",
-                                   total,
-                                   static_cast<double>(sstats.reroutes), 0.0,
-                                   1});
-      JsonSink::instance().record({label, spec->name,
-                                   "service_breaker_trips", total,
-                                   static_cast<double>(sstats.breaker_trips),
                                    0.0, 1});
       if (cfg.arrivals.enabled()) {
         JsonSink::instance().record(

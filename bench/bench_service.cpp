@@ -2,12 +2,12 @@
 // layer (src/service/priority_service.hpp).
 //
 // A Poisson client simulator offers tasks to each queue twice: once through
-// raw queue handles, once through the sharded/batched PriorityService. Each
+// raw queue handles, once through a PriorityService over that queue. Each
 // thread-ladder entry is split into producers (open-loop submitters whose
 // arrival schedule is independent of completions) and consumers (dequeue
 // loops). Reported per cell: delivered tasks/s, the median completion-rank
 // error, delete_min latency, and the overload picture — sojourn p99 plus
-// shed/reroute/breaker counters — raw -> service per queue.
+// the shed count — raw -> service per queue.
 //
 // Env knobs on top of the usual CPQ_* set:
 //   CPQ_ARRIVAL_HZ       offered load per producer (tasks/s, 0 = closed loop)
@@ -19,11 +19,10 @@
 //   CPQ_MAX_IN_FLIGHT    admission bound (0 = unbounded)
 //   CPQ_POLICY           block | reject | tiered (admission under pressure)
 //   CPQ_TIERS            priority tiers for the tiered policy (default 4)
-//   CPQ_BREAKER_TRIP_US  per-shard circuit-breaker trip latency (0 = off)
 //   CPQ_RETRY_LIMIT      submit_with_retry attempt cap
 //
 // Chaos mode:
-//   bench_service --chaos=FILE [--queue=glock|mq]
+//   bench_service --chaos=FILE [--queue=glock|mq|mq-eng]
 // runs the declarative fault campaign in FILE (see src/validation/chaos.hpp
 // for the format) instead of the sweep, and exits 0/1/2 per
 // bench/chaos_driver.hpp.
@@ -61,7 +60,8 @@ int main(int argc, char** argv) {
       chaos_queue = arg + 8;
     } else {
       std::fprintf(stderr,
-                   "usage: bench_service [--chaos=FILE [--queue=glock|mq]]\n"
+                   "usage: bench_service "
+                   "[--chaos=FILE [--queue=glock|mq|mq-eng]]\n"
                    "                     [--telemetry-hz=HZ] "
                    "[--timeseries-out=FILE]\n"
                    "                     [--prom-out=FILE] [--slo=SPEC]\n");
@@ -121,9 +121,6 @@ int main(int argc, char** argv) {
   if (const char* tiers = std::getenv("CPQ_TIERS")) {
     cfg.service.tiers =
         static_cast<unsigned>(std::strtoul(tiers, nullptr, 10));
-  }
-  if (const char* trip = std::getenv("CPQ_BREAKER_TRIP_US")) {
-    cfg.service.breaker_trip_us = std::strtoull(trip, nullptr, 10);
   }
   if (const char* retries = std::getenv("CPQ_RETRY_LIMIT")) {
     cfg.service.retry_limit =

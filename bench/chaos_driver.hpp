@@ -55,9 +55,6 @@ inline void emit_chaos_json(const std::string& label,
   emit("chaos_baseline_p99_ms", result.baseline_p99_ms, true);
   emit("chaos_recovery_threshold_ms", result.recovery_threshold_ms, true);
   emit("chaos_shed_total", static_cast<double>(result.shed), true);
-  emit("chaos_reroutes", static_cast<double>(result.reroutes), true);
-  emit("chaos_breaker_trips", static_cast<double>(result.breaker_trips),
-       true);
   emit("chaos_conservation_ok", result.conservation_ok ? 1.0 : 0.0,
        result.conservation_ok);
   emit("chaos_rank_violations_outside",
@@ -80,8 +77,9 @@ inline void emit_chaos_json(const std::string& label,
 
 }  // namespace detail
 
-// Run the chaos campaign in `schedule_path` over `queue_name` shards
-// ("glock" or "mq"). Returns a process exit code (see header comment).
+// Run the chaos campaign in `schedule_path` over one `queue_name` queue
+// ("glock", "mq", or the buffered "mq-eng"). Returns a process exit code
+// (see header comment).
 inline int run_chaos_from_file(const std::string& schedule_path,
                                const std::string& queue_name,
                                std::uint64_t seed) {
@@ -106,6 +104,7 @@ inline int run_chaos_from_file(const std::string& schedule_path,
               schedule_path.c_str(), queue_name.c_str(),
               schedule.scenarios.size(), schedule.duration_s);
 
+  using Mq = MultiQueue<std::uint64_t, std::uint64_t>;
   validation::ChaosCampaignResult result;
   if (queue_name == "glock") {
     result = validation::run_chaos_campaign(
@@ -115,13 +114,18 @@ inline int run_chaos_from_file(const std::string& schedule_path,
         });
   } else if (queue_name == "mq") {
     result = validation::run_chaos_campaign(
-        schedule, seed, [threads, seed](unsigned shard) {
-          return std::make_unique<MultiQueue<std::uint64_t, std::uint64_t>>(
-              threads, 4, thread_seed(seed, shard));
+        schedule, seed, [threads, seed](unsigned) {
+          return std::make_unique<Mq>(threads, 4, seed);
+        });
+  } else if (queue_name == "mq-eng") {
+    result = validation::run_chaos_campaign(
+        schedule, seed, [threads, seed](unsigned) {
+          return std::make_unique<Mq>(threads, MqEngConfig{}, seed);
         });
   } else {
     std::fprintf(stderr,
-                 "[chaos] unknown queue '%s' (chaos roster: glock, mq)\n",
+                 "[chaos] unknown queue '%s' (chaos roster: glock, mq, "
+                 "mq-eng)\n",
                  queue_name.c_str());
     return 2;
   }

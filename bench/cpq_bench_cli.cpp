@@ -59,8 +59,8 @@
 //   --force-stall             deliberately trip the progress watchdog and
 //                             exit 86 (exercises the stall-dump path)
 //   --chaos=FILE              run the declarative chaos campaign in FILE
-//                             against a PriorityService (--queues picks the
-//                             shard queue: glock or mq, default mq) and exit
+//                             against a PriorityService (--queues picks its
+//                             queue: glock, mq or mq-eng, default mq) and exit
 //                             0 ok / 1 assertions failed / 2 usage — see
 //                             src/validation/chaos.hpp for the file format
 //   --list                    print queues and benchmark modes, then exit
@@ -430,13 +430,14 @@ int main(int argc, char** argv) {
   }
 
   if (!chaos_file.empty()) {
-    // Chaos mode replaces the sweep entirely. The shard queue comes from
+    // Chaos mode replaces the sweep entirely. The service's queue comes from
     // --queues when it names a chaos-capable engine; mq otherwise. The
     // telemetry plane brackets the campaign so scenarios gain the measured
     // slo_recovery_ms second opinion.
     std::string chaos_queue = "mq";
     if (!roster.empty() &&
-        (roster.front()->name == "glock" || roster.front()->name == "mq")) {
+        (roster.front()->name == "glock" || roster.front()->name == "mq" ||
+         roster.front()->name == "mq-eng")) {
       chaos_queue = roster.front()->name;
     }
     telemetry_begin(telemetry);

@@ -109,30 +109,23 @@ int main() {
   }
   // The same event loop through the PriorityService dispatch layer: the
   // service satisfies the queue-handle concept, so run_hold_model is
-  // oblivious to the sharding/batching underneath. Batching adds relaxation
-  // (more causality violations) in exchange for amortized synchronization —
-  // the trade the service makes visible.
-  {
-    using Inner = cpq::MultiQueue<std::uint64_t, std::uint64_t>;
-    cpq::service::ServiceConfig cfg;
-    cfg.shards = 2;
-    cfg.insert_batch = 8;
-    cfg.delete_batch = 8;
-    cpq::service::PriorityService<Inner> q(kThreads, cfg, [](unsigned shard) {
-      return std::make_unique<Inner>(kThreads, 4, shard + 1);
-    });
-    run_hold_model("mq+svc", q);
-  }
+  // oblivious to it. Over glock the service adds admission and counters but
+  // no relaxation; over the engineered MultiQueue the queue's insertion and
+  // deletion buffers add relaxation (more causality violations) in exchange
+  // for amortized synchronization — the trade the service makes visible.
   {
     using Inner = cpq::GlobalLockQueue<std::uint64_t, std::uint64_t>;
-    cpq::service::ServiceConfig cfg;
-    cfg.shards = kThreads;
-    cfg.insert_batch = 8;
-    cfg.delete_batch = 8;
-    cpq::service::PriorityService<Inner> q(kThreads, cfg, [](unsigned) {
+    cpq::service::PriorityService<Inner> q(kThreads, {}, [](unsigned) {
       return std::make_unique<Inner>(kThreads);
     });
     run_hold_model("glock+svc", q);
+  }
+  {
+    using Inner = cpq::MultiQueue<std::uint64_t, std::uint64_t>;
+    cpq::service::PriorityService<Inner> q(kThreads, {}, [](unsigned) {
+      return std::make_unique<Inner>(kThreads, cpq::MqEngConfig{}, 1);
+    });
+    run_hold_model("mq-eng+svc", q);
   }
   return 0;
 }

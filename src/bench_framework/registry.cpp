@@ -96,7 +96,7 @@ QueueSpec make_spec(std::string name, std::string description, bool strict,
   spec.service_bench = [factory,
                         name = spec.name](const service::ServiceBenchConfig&
                                               cfg) {
-    // The shard/queue factories reuse the throughput factory with a
+    // The queue factory reuses the throughput factory with a
     // BenchConfig carrying only what it reads (prefill sizing, label).
     BenchConfig inner;
     inner.prefill = cfg.prefill;

@@ -49,16 +49,10 @@ enum class Counter : unsigned {
   kEbrAdvance,          // global epoch advances
   kHazardScan,          // hazard-pointer scans
   kHazardRetire,        // nodes deferred to hazard-pointer reclamation
-  kServiceFlush,        // insertion-buffer flushes (priority service)
-  kServiceDeadlineFlush,  // flushes forced by the deadline
-  kServiceRefill,       // deletion-buffer refills from the routed shard
-  kServiceSteal,        // refills served by stealing from another shard
-  kServiceReject,       // admission rejections
+  kServiceReject,       // admission rejections (priority service)
   kServiceShed,         // tasks dropped past their deadline
   kServiceTierReject,   // rejections from the tiered-admission gate
   kServiceRetry,        // submit_with_retry re-attempts
-  kServiceBreakerTrip,  // per-shard circuit-breaker trips
-  kServiceReroute,      // batches steered away from an open breaker
   kCounterCount,
 };
 
@@ -67,12 +61,10 @@ inline constexpr unsigned kNumCounters =
 
 inline const char* counter_name(unsigned index) noexcept {
   static const char* const names[kNumCounters] = {
-      "cas_retry",      "lock_retry",    "backoff_pause",
-      "ebr_retire",     "ebr_free",      "ebr_advance",
-      "hazard_scan",    "hazard_retire", "service_flush",
-      "service_deadline_flush", "service_refill", "service_steal",
-      "service_reject", "service_shed", "service_tier_reject",
-      "service_retry", "service_breaker_trip", "service_reroute",
+      "cas_retry",    "lock_retry",    "backoff_pause",
+      "ebr_retire",   "ebr_free",      "ebr_advance",
+      "hazard_scan",  "hazard_retire", "service_reject",
+      "service_shed", "service_tier_reject", "service_retry",
   };
   return index < kNumCounters ? names[index] : "?";
 }

@@ -1,14 +1,14 @@
 // Live telemetry plane: a background sampler that turns the process's
 // point-in-time observability (counter totals, histograms, service gauges,
 // rank estimate, arena stats) into a *time series*, so overload onset,
-// breaker flaps, and shed storms are visible as trajectories instead of
+// stalls, and shed storms are visible as trajectories instead of
 // being averaged away in end-of-run aggregates.
 //
 // Architecture:
 //
 //   workers ──> AtomicLogHistogram feeds (latency / sojourn, relaxed adds)
 //           ──> sojourn stamp table (sampled submit->delivery matching)
-//   subsystems ──> GaugeSet providers (service shard stats, bench counters)
+//   subsystems ──> GaugeSet providers (service counters, bench counters)
 //
 //   TelemetrySampler thread (started by --telemetry-hz > 0):
 //     every 1/hz seconds, under the plane lock:

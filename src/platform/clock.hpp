@@ -7,10 +7,10 @@
 //     calibrated independently (per repetition, per export) against a
 //     wall-clock Stopwatch;
 //   * steady_now_us() (service/resilience.hpp) — steady_clock microseconds,
-//     used by deadlines, circuit breakers, and the chaos campaign.
+//     used by deadlines and the chaos campaign.
 //
 // Two domains with per-consumer calibrations means artifacts cannot be
-// aligned: a Chrome trace op event and a service breaker trip had no common
+// aligned: a Chrome trace op event and a service deadline had no common
 // axis. This header provides the single mapping both sides share:
 //
 //   * monotonic_ns() / monotonic_us() — steady_clock since its epoch. The

@@ -7,9 +7,6 @@
 //   * TierMap / tier_admitted — priority-aware admission: instead of the
 //     binary block/reject choice, the key space is split into tiers and
 //     lower-priority tiers are refused first as the in-flight window fills.
-//   * CircuitBreaker — per-shard trip wire. Shards whose flush/refill batches
-//     repeatedly exceed a duration budget are taken out of the two-choice
-//     routing until a cooldown passes and a half-open probe succeeds.
 //
 // Everything here is header-only and queue-agnostic; PriorityService wires
 // the pieces together (see priority_service.hpp).
@@ -27,10 +24,10 @@
 namespace cpq::service {
 
 // Steady-clock microseconds on the canonical monotonic timeline
-// (platform/clock.hpp). Deadlines and breaker budgets are compared within
-// one process run, so the epoch never matters; sharing monotonic_us() with
-// the telemetry/trace exporters makes service-layer timestamps directly
-// comparable to TelemetryRecord::t_ns and Chrome trace event times.
+// (platform/clock.hpp). Deadlines are compared within one process run, so
+// the epoch never matters; sharing monotonic_us() with the telemetry/trace
+// exporters makes service-layer timestamps directly comparable to
+// TelemetryRecord::t_ns and Chrome trace event times.
 inline std::uint64_t steady_now_us() noexcept { return monotonic_us(); }
 
 // Fixed-capacity pool of (value, deadline) slots with a Treiber-stack free
@@ -180,105 +177,5 @@ inline bool tier_admitted(std::size_t occupancy, std::size_t capacity,
   return occupancy < capacity / tiers * (tiers - tier) +
                          capacity % tiers * (tiers - tier) / tiers;
 }
-
-// Per-shard circuit breaker. Shard maintenance batches (flush, refill) report
-// their duration; `consecutive` reports at or above `trip_us` trip the
-// breaker to Open, taking the shard out of preferred routing for
-// `cooldown_us`. After the cooldown one caller is admitted as a Half-Open
-// probe; a fast batch closes the breaker, a slow one re-opens it. All state
-// is relaxed atomics — the breaker is a routing hint, not a correctness
-// gate, and torn decisions only cost one misrouted batch.
-class CircuitBreaker {
- public:
-  enum class State : std::uint8_t { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
-
-  void configure(std::uint64_t trip_us, unsigned consecutive,
-                 std::uint64_t cooldown_us) noexcept {
-    trip_us_ = trip_us;
-    consecutive_ = consecutive == 0 ? 1 : consecutive;
-    cooldown_us_ = cooldown_us == 0 ? 1 : cooldown_us;
-  }
-
-  bool enabled() const noexcept { return trip_us_ > 0; }
-
-  State state() const noexcept {
-    return static_cast<State>(state_.load(std::memory_order_relaxed));
-  }
-
-  std::uint64_t trips() const noexcept {
-    return trips_.load(std::memory_order_relaxed);
-  }
-
-  // May the caller route a batch to this shard right now? Open shards refuse
-  // until the cooldown elapses, then exactly one caller wins the CAS and
-  // probes in Half-Open; the rest keep routing elsewhere. A Half-Open probe
-  // that never reports (its thread died or rerouted) goes stale after one
-  // more cooldown and the probe token is reissued.
-  bool allow(std::uint64_t now_us) noexcept {
-    if (!enabled()) return true;
-    std::uint8_t state = state_.load(std::memory_order_relaxed);
-    if (state == static_cast<std::uint8_t>(State::kClosed)) return true;
-    const std::uint64_t wait_until =
-        deadline_us_.load(std::memory_order_relaxed);
-    if (now_us < wait_until) return false;
-    if (state == static_cast<std::uint8_t>(State::kOpen)) {
-      if (state_.compare_exchange_strong(
-              state, static_cast<std::uint8_t>(State::kHalfOpen),
-              std::memory_order_relaxed)) {
-        deadline_us_.store(now_us + cooldown_us_, std::memory_order_relaxed);
-        return true;  // this caller is the probe
-      }
-      return state == static_cast<std::uint8_t>(State::kClosed);
-    }
-    // Half-Open past its probe window: reissue the probe token.
-    std::uint64_t expected = wait_until;
-    return deadline_us_.compare_exchange_strong(expected, now_us + cooldown_us_,
-                                                std::memory_order_relaxed);
-  }
-
-  // Report a completed batch against this shard. Returns true when this
-  // report tripped (or re-tripped) the breaker.
-  bool record(std::uint64_t now_us, std::uint64_t duration_us) noexcept {
-    if (!enabled()) return false;
-    const std::uint8_t state = state_.load(std::memory_order_relaxed);
-    if (duration_us >= trip_us_) {
-      if (state == static_cast<std::uint8_t>(State::kHalfOpen)) {
-        reopen(now_us);
-        return true;
-      }
-      const std::uint32_t streak =
-          slow_streak_.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (streak >= consecutive_ &&
-          state == static_cast<std::uint8_t>(State::kClosed)) {
-        reopen(now_us);
-        return true;
-      }
-      return false;
-    }
-    slow_streak_.store(0, std::memory_order_relaxed);
-    if (state == static_cast<std::uint8_t>(State::kHalfOpen)) {
-      state_.store(static_cast<std::uint8_t>(State::kClosed),
-                   std::memory_order_relaxed);
-    }
-    return false;
-  }
-
- private:
-  void reopen(std::uint64_t now_us) noexcept {
-    deadline_us_.store(now_us + cooldown_us_, std::memory_order_relaxed);
-    state_.store(static_cast<std::uint8_t>(State::kOpen),
-                 std::memory_order_relaxed);
-    slow_streak_.store(0, std::memory_order_relaxed);
-    trips_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  std::uint64_t trip_us_ = 0;
-  unsigned consecutive_ = 2;
-  std::uint64_t cooldown_us_ = 5000;
-  std::atomic<std::uint8_t> state_{0};
-  std::atomic<std::uint64_t> deadline_us_{0};
-  std::atomic<std::uint32_t> slow_streak_{0};
-  std::atomic<std::uint64_t> trips_{0};
-};
 
 }  // namespace cpq::service

@@ -11,16 +11,15 @@
 //   * offered and delivered task rates (tasks/s),
 //   * completion-rank error, reusing the quality replay engine: every
 //     submission and delivery is timestamped and replayed through the
-//     order-statistic tree, so the service's extra relaxation (buffering,
-//     sharding) is quantified with the same metric as the raw queues,
-//   * the service's per-shard counters (batch fill, steals, flushes).
+//     order-statistic tree, so the relaxation a client sees through the
+//     service is quantified with the same metric as the raw queues,
+//   * the service's counters (submitted, delivered, shed, rejected).
 //
 // The same loop runs against raw queue handles and against the service (and,
 // for validation, against CheckedQueue-wrapped engines), so
 // bench/bench_service.cpp can print service-vs-raw columns from one code
 // path. The progress watchdog supervises every worker; for service runs the
-// service's per-shard counter dump is installed as the watchdog diagnostics
-// callback.
+// service's counter dump is installed as the watchdog diagnostics callback.
 #pragma once
 
 #include <algorithm>
@@ -42,7 +41,6 @@
 #include "platform/backoff.hpp"
 #include "platform/cache.hpp"
 #include "platform/clock.hpp"
-#include "platform/rng.hpp"
 #include "platform/thread_util.hpp"
 #include "platform/timing.hpp"
 #include "service/priority_service.hpp"
@@ -122,7 +120,7 @@ void open_loop_run(Engine& engine, const ServiceBenchConfig& cfg,
   const unsigned threads = cfg.producers + cfg.consumers;
   logs.assign(threads + 1, {});
 
-  {  // Prefill through a scoped handle (service handles flush on exit).
+  {  // Prefill through a scoped handle (buffered handles spill on exit).
     auto handle = engine.get_handle(0);
     workloads::KeyGenerator gen(cfg.keys, cfg.seed ^ 0x9e3779b9ULL,
                                 bench::detail::kPrefillThread);
@@ -138,7 +136,7 @@ void open_loop_run(Engine& engine, const ServiceBenchConfig& cfg,
   }
 
   std::vector<validation::WorkerProgress> progress(threads);
-  // Chain the engine-specific diagnostics (shard stats for service runs)
+  // Chain the engine-specific diagnostics (counters for service runs)
   // with the metrics-registry and rank-estimator dumps so a stall report
   // carries all three.
   validation::Watchdog watchdog(
@@ -397,21 +395,18 @@ ServiceBenchResult run_open_loop_raw(Factory&& make_queue,
   return result;
 }
 
-// Open-loop run through PriorityService-wrapped shards. Each shard queue is
-// built by `make_queue(threads, shard_seed)`.
+// Open-loop run through a PriorityService over the queue built by
+// `make_queue(threads, seed)`.
 template <typename Factory>
 ServiceBenchResult run_open_loop_service(Factory&& make_queue,
                                          const ServiceBenchConfig& cfg) {
   const unsigned threads = cfg.producers + cfg.consumers;
   using Q = typename std::decay_t<decltype(*make_queue(threads, cfg.seed))>;
   using Service = PriorityService<Q>;
-  ServiceConfig scfg = cfg.service;
-  scfg.seed = cfg.seed;
   auto make_service = [&] {
-    return std::make_unique<Service>(
-        threads, scfg, [&](unsigned shard) {
-          return make_queue(threads, thread_seed(cfg.seed, shard));
-        });
+    return std::make_unique<Service>(threads, cfg.service, [&](unsigned) {
+      return make_queue(threads, cfg.seed);
+    });
   };
 
   ServiceBenchResult result;
@@ -419,9 +414,9 @@ ServiceBenchResult run_open_loop_service(Factory&& make_queue,
   if (cfg.checked) {
     validation::CheckedQueue<Service> checked(threads, make_service());
     Service& service = checked.inner();
-    // Service-layer gauges (in_flight, shed, breaker state, shard sizes)
-    // feed the telemetry sampler while the run is live; the scope unregisters
-    // before the service is destroyed.
+    // Service-layer gauges (in_flight, shed, rejected) feed the telemetry
+    // sampler while the run is live; the scope unregisters before the
+    // service is destroyed.
     obs::ScopedTelemetryProvider service_gauges(
         [&service](obs::GaugeSet& g) { service.fill_gauges(g); });
     detail::open_loop_run(

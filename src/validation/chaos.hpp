@@ -13,9 +13,7 @@
 //   hot_ops 0.9             # optional hotspot skew: this fraction of
 //   hot_keys 0.1            # submissions hits the bottom hot_keys of
 //                           # key_space (0 0 = uniform keys)
-//   shards 4
 //   ttl_us 50000            # 0 disables deadline shedding
-//   breaker_trip_us 2000    # 0 disables the circuit breaker
 //   # assertions
 //   window_ms 50            # p99 is tracked per window of this width
 //   recovery_factor 3       # recovered when p99 <= factor * baseline p99 ...
@@ -24,12 +22,12 @@
 //                           # windows fail the campaign. 0 skips the check.
 //   # faults
 //   scenario lock-convoy start=0.6 dur=0.3 kind=inject site=spinlock ppm=40000
-//   scenario shard-kill  start=1.0 dur=0.3 kind=kill_shard shard=1
+//   scenario slow-queue  start=1.0 dur=0.3 kind=stall stall_us=150000
 //
 // Fault kinds:
-//   stall_shard   sleep stall_us before every batch against `shard`
-//   kill_shard    stall_shard with a deadly default (50 ms): the shard is
-//                 effectively dead until the scenario clears
+//   stall         every submit and delete_min of the service sleeps
+//                 stall_us (required) before it touches the queue; a stall
+//                 longer than ttl_us makes the queue shed what it holds
 //   inject        CPQ_INJECT delays at `ppm` on sites containing `site`
 //                 (thread stalls: site=""; EBR reclamation delays:
 //                 site=ebr; spinlock convoys: site=spinlock)
@@ -49,16 +47,14 @@
 namespace cpq::validation {
 
 enum class ChaosFaultKind : std::uint8_t {
-  kStallShard,
-  kKillShard,
+  kStall,
   kInject,
   kInjectThrow,
 };
 
 inline const char* chaos_fault_kind_name(ChaosFaultKind kind) noexcept {
   switch (kind) {
-    case ChaosFaultKind::kStallShard: return "stall_shard";
-    case ChaosFaultKind::kKillShard: return "kill_shard";
+    case ChaosFaultKind::kStall: return "stall";
     case ChaosFaultKind::kInject: return "inject";
     case ChaosFaultKind::kInjectThrow: return "inject_throw";
   }
@@ -67,20 +63,14 @@ inline const char* chaos_fault_kind_name(ChaosFaultKind kind) noexcept {
 
 struct ChaosScenario {
   std::string name;
-  ChaosFaultKind kind = ChaosFaultKind::kStallShard;
+  ChaosFaultKind kind = ChaosFaultKind::kStall;
   double start_s = 0.0;     // fault applied at this offset into the run
   double duration_s = 0.0;  // and cleared after this long
-  unsigned shard = 0;       // stall_shard / kill_shard target
-  std::uint32_t stall_us = 0;  // 0 = kind-specific default
+  std::uint32_t stall_us = 0;  // stall: pause per service operation
   std::uint32_t ppm = 0;       // inject*: firings per million crossings
   std::string site;            // inject*: site-name substring filter
 
   double clear_s() const noexcept { return start_s + duration_s; }
-
-  std::uint32_t effective_stall_us() const noexcept {
-    if (stall_us != 0) return stall_us;
-    return kind == ChaosFaultKind::kKillShard ? 50'000 : 2'000;
-  }
 };
 
 struct ChaosSchedule {
@@ -97,15 +87,9 @@ struct ChaosSchedule {
   double hot_keys = 0.0;
 
   // Service configuration (forwarded into ServiceConfig).
-  unsigned shards = 4;
-  std::size_t insert_batch = 8;
-  std::size_t delete_batch = 8;
   std::size_t max_in_flight = 0;
   std::string policy = "reject";  // reject | tiered (admission under load)
   std::uint64_t ttl_us = 0;
-  std::uint64_t breaker_trip_us = 0;
-  unsigned breaker_consecutive = 2;
-  std::uint64_t breaker_cooldown_us = 5'000;
 
   // Assertions.
   double window_ms = 25.0;
@@ -167,10 +151,8 @@ inline bool parse_chaos_schedule(const std::string& text, ChaosSchedule& out,
           sc.duration_s = std::strtod(v.c_str(), nullptr);
         } else if (k == "kind") {
           have_kind = true;
-          if (v == "stall_shard") {
-            sc.kind = ChaosFaultKind::kStallShard;
-          } else if (v == "kill_shard") {
-            sc.kind = ChaosFaultKind::kKillShard;
+          if (v == "stall") {
+            sc.kind = ChaosFaultKind::kStall;
           } else if (v == "inject") {
             sc.kind = ChaosFaultKind::kInject;
           } else if (v == "inject_throw") {
@@ -179,8 +161,6 @@ inline bool parse_chaos_schedule(const std::string& text, ChaosSchedule& out,
             return detail::chaos_parse_error(error, line_no,
                                              "unknown kind '" + v + "'");
           }
-        } else if (k == "shard") {
-          sc.shard = static_cast<unsigned>(std::strtoul(v.c_str(), nullptr, 10));
         } else if (k == "stall_us") {
           sc.stall_us =
               static_cast<std::uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
@@ -201,6 +181,11 @@ inline bool parse_chaos_schedule(const std::string& text, ChaosSchedule& out,
       if (sc.duration_s <= 0.0) {
         return detail::chaos_parse_error(
             error, line_no, "scenario '" + sc.name + "' needs dur= > 0");
+      }
+      if (sc.kind == ChaosFaultKind::kStall && sc.stall_us == 0) {
+        return detail::chaos_parse_error(
+            error, line_no,
+            "scenario '" + sc.name + "' needs stall_us= > 0");
       }
       if ((sc.kind == ChaosFaultKind::kInject ||
            sc.kind == ChaosFaultKind::kInjectThrow) &&
@@ -238,12 +223,6 @@ inline bool parse_chaos_schedule(const std::string& text, ChaosSchedule& out,
       out.hot_ops = d;
     } else if (key == "hot_keys") {
       out.hot_keys = d;
-    } else if (key == "shards") {
-      out.shards = static_cast<unsigned>(u);
-    } else if (key == "insert_batch") {
-      out.insert_batch = u;
-    } else if (key == "delete_batch") {
-      out.delete_batch = u;
     } else if (key == "max_in_flight") {
       out.max_in_flight = u;
     } else if (key == "policy") {
@@ -255,12 +234,6 @@ inline bool parse_chaos_schedule(const std::string& text, ChaosSchedule& out,
       out.policy = value;
     } else if (key == "ttl_us") {
       out.ttl_us = u;
-    } else if (key == "breaker_trip_us") {
-      out.breaker_trip_us = u;
-    } else if (key == "breaker_consecutive") {
-      out.breaker_consecutive = static_cast<unsigned>(u);
-    } else if (key == "breaker_cooldown_us") {
-      out.breaker_cooldown_us = u;
     } else if (key == "window_ms") {
       out.window_ms = d;
     } else if (key == "recovery_factor") {
@@ -306,13 +279,6 @@ inline bool parse_chaos_schedule(const std::string& text, ChaosSchedule& out,
     if (sc.clear_s() >= out.duration_s) {
       error = "chaos schedule: scenario '" + sc.name +
               "' must clear before duration_s (no recovery window left)";
-      return false;
-    }
-    if ((sc.kind == ChaosFaultKind::kStallShard ||
-         sc.kind == ChaosFaultKind::kKillShard) &&
-        sc.shard >= out.shards) {
-      error = "chaos schedule: scenario '" + sc.name + "' targets shard " +
-              std::to_string(sc.shard) + " of " + std::to_string(out.shards);
       return false;
     }
   }

@@ -6,9 +6,9 @@
 // per-window sojourn-latency histograms) while a controller thread walks the
 // schedule, applying and clearing faults at their offsets:
 //
-//   stall_shard / kill_shard  -> PriorityService::chaos_stall_shard
-//   inject / inject_throw     -> fault_injection_configure over the
-//                                CPQ_INJECT seams (site-filtered)
+//   stall                 -> PriorityService::chaos_stall
+//   inject / inject_throw -> fault_injection_configure over the
+//                            CPQ_INJECT seams (site-filtered)
 //
 // After the run it asserts the three properties the overload work is about:
 //
@@ -24,9 +24,9 @@
 //                 recovery_floor_ms). A scenario that never recovers
 //                 reports recovery_ms = -1 and fails the campaign.
 //
-// Overlapping stall scenarios compose; overlapping inject scenarios do not
-// (the injection configuration is global — the last clear wins), so keep
-// inject windows disjoint in schedules.
+// Overlapping scenarios of one kind do not compose (the stall and the
+// injection configuration are global — the last clear wins), so keep such
+// windows disjoint in schedules.
 //
 // The runner is deliberately bench-framework-free (histograms, watchdog,
 // service, estimator only), so fault-injected test binaries can link it
@@ -91,8 +91,6 @@ struct ChaosCampaignResult {
   std::uint64_t drained = 0;
   std::uint64_t rejected = 0;
   std::uint64_t shed = 0;
-  std::uint64_t reroutes = 0;
-  std::uint64_t breaker_trips = 0;
   std::uint64_t submit_faults = 0;  // injected submit exceptions survived
 
   bool conservation_ok = false;
@@ -126,15 +124,15 @@ inline constexpr std::uint64_t chaos_item_id(unsigned tid,
 
 }  // namespace detail
 
-// Run `schedule` against a service whose shards come from
-// `make_shard(shard_index) -> std::unique_ptr<Q>`. The queue value type must
-// satisfy the deadline-envelope constraint (unsigned 64-bit) because the
-// runner packs item ids into values.
-template <typename MakeShard>
+// Run `schedule` against a service over the queue built by
+// `make_queue(0u) -> std::unique_ptr<Q>`. The queue value type must satisfy
+// the deadline-envelope constraint (unsigned 64-bit) because the runner
+// packs item ids into values.
+template <typename MakeQueue>
 auto run_chaos_campaign(const ChaosSchedule& schedule, std::uint64_t seed,
-                        MakeShard&& make_shard, bool pin_threads = false)
+                        MakeQueue&& make_queue, bool pin_threads = false)
     -> ChaosCampaignResult {
-  using Q = typename decltype(make_shard(0u))::element_type;
+  using Q = typename decltype(make_queue(0u))::element_type;
   using Service = service::PriorityService<Q>;
   using Checked = CheckedQueue<Service>;
 
@@ -144,21 +142,14 @@ auto run_chaos_campaign(const ChaosSchedule& schedule, std::uint64_t seed,
   const unsigned workers = producers + consumers;
 
   service::ServiceConfig scfg;
-  scfg.shards = schedule.shards;
-  scfg.insert_batch = schedule.insert_batch;
-  scfg.delete_batch = schedule.delete_batch;
   scfg.max_in_flight = schedule.max_in_flight;
   scfg.policy = schedule.policy == "tiered"
                     ? service::AdmissionPolicy::kTiered
                     : service::AdmissionPolicy::kReject;
   scfg.tier_key_space = schedule.key_space;
-  scfg.seed = seed;
   scfg.ttl_us = schedule.ttl_us;
-  scfg.breaker_trip_us = schedule.breaker_trip_us;
-  scfg.breaker_consecutive = schedule.breaker_consecutive;
-  scfg.breaker_cooldown_us = schedule.breaker_cooldown_us;
 
-  auto owned = std::make_unique<Service>(workers, scfg, make_shard);
+  auto owned = std::make_unique<Service>(workers, scfg, make_queue);
   Service* svc = owned.get();
   Checked checked(workers, std::move(owned));
 
@@ -235,9 +226,8 @@ auto run_chaos_campaign(const ChaosSchedule& schedule, std::uint64_t seed,
 
   auto apply_fault = [&](const ChaosScenario& sc) -> bool {
     switch (sc.kind) {
-      case ChaosFaultKind::kStallShard:
-      case ChaosFaultKind::kKillShard:
-        svc->chaos_stall_shard(sc.shard, sc.effective_stall_us());
+      case ChaosFaultKind::kStall:
+        svc->chaos_stall(sc.stall_us);
         return true;
       case ChaosFaultKind::kInject:
       case ChaosFaultKind::kInjectThrow:
@@ -260,9 +250,8 @@ auto run_chaos_campaign(const ChaosSchedule& schedule, std::uint64_t seed,
   };
   auto clear_fault = [&](const ChaosScenario& sc) {
     switch (sc.kind) {
-      case ChaosFaultKind::kStallShard:
-      case ChaosFaultKind::kKillShard:
-        svc->chaos_stall_shard(sc.shard, 0);
+      case ChaosFaultKind::kStall:
+        svc->chaos_stall(0);
         break;
       case ChaosFaultKind::kInject:
       case ChaosFaultKind::kInjectThrow:
@@ -429,7 +418,7 @@ auto run_chaos_campaign(const ChaosSchedule& schedule, std::uint64_t seed,
   watchdog.stop();
 
   // Defensive: no fault outlives the run, whatever the schedule said.
-  for (unsigned s = 0; s < svc->shard_count(); ++s) svc->chaos_stall_shard(s, 0);
+  svc->chaos_stall(0);
 #if defined(CPQ_FAULT_INJECTION)
   fault_injection_configure(0, seed);
 #endif
@@ -452,8 +441,6 @@ auto run_chaos_campaign(const ChaosSchedule& schedule, std::uint64_t seed,
   result.submitted = stats.submitted;
   result.delivered = stats.delivered;
   result.rejected = stats.rejected;
-  result.reroutes = stats.reroutes;
-  result.breaker_trips = stats.breaker_trips;
 
   if (rank_on) {
     const obs::RankEstimator::Snapshot snap =
@@ -564,15 +551,13 @@ inline void print_chaos_result(std::FILE* out,
   std::fprintf(out,
                "# chaos: baseline_p99=%.3fms threshold=%.3fms submitted=%llu "
                "delivered=%llu drained=%llu shed=%llu rejected=%llu "
-               "reroutes=%llu breaker_trips=%llu submit_faults=%llu\n",
+               "submit_faults=%llu\n",
                result.baseline_p99_ms, result.recovery_threshold_ms,
                static_cast<unsigned long long>(result.submitted),
                static_cast<unsigned long long>(result.delivered),
                static_cast<unsigned long long>(result.drained),
                static_cast<unsigned long long>(result.shed),
                static_cast<unsigned long long>(result.rejected),
-               static_cast<unsigned long long>(result.reroutes),
-               static_cast<unsigned long long>(result.breaker_trips),
                static_cast<unsigned long long>(result.submit_faults));
   std::fprintf(out, "# chaos: conservation %s (%s)\n",
                result.conservation_ok ? "OK" : "VIOLATED",

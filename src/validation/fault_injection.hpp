@@ -37,6 +37,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -65,13 +67,30 @@ struct InjectionState {
   std::atomic<std::uint64_t> seed{42};
   std::atomic<std::uint8_t> action{0};  // FaultAction
   // Substring a site name must contain for the hook to fire; nullptr = all
-  // sites. The pointed-to string is intentionally leaked on reconfiguration
-  // so racing readers never observe a freed buffer.
+  // sites. Points into retain_site_filter()'s list, so a replaced filter
+  // stays readable by racing crossings.
   std::atomic<const char*> site_filter{nullptr};
   // Bumped by configure(); threads reseed their stream on the next crossing.
   std::atomic<std::uint64_t> generation{1};
   std::atomic<std::uint64_t> fired{0};
 };
+
+// A stable copy of `filter` (nullptr for none or ""). Every filter ever
+// configured is kept for the life of the process — a racing crossing may
+// still hold the pointer it loaded before a reconfiguration, so none is ever
+// freed — in a list that is never destroyed, so it stays reachable (no
+// LeakSanitizer report) and outlives static destruction. Equal filters
+// share one copy, so the list is bounded by the distinct filters used.
+inline const char* retain_site_filter(const char* filter) {
+  if (filter == nullptr || filter[0] == '\0') return nullptr;
+  static std::mutex mutex;
+  static auto* const kept = new std::deque<std::string>();
+  const std::lock_guard<std::mutex> lock(mutex);
+  for (const std::string& s : *kept) {
+    if (s == filter) return s.c_str();
+  }
+  return kept->emplace_back(filter).c_str();
+}
 
 inline InjectionState& injection_state() {
   static InjectionState state;
@@ -86,9 +105,8 @@ inline InjectionState& injection_state() {
                        std::memory_order_relaxed);
     }
     if (const char* sites = std::getenv("CPQ_INJECT_SITES")) {
-      if (sites[0] != '\0') {
-        state.site_filter.store(strdup(sites), std::memory_order_release);
-      }
+      state.site_filter.store(retain_site_filter(sites),
+                              std::memory_order_release);
     }
     return true;
   }();
@@ -100,8 +118,7 @@ inline InjectionState& injection_state() {
 // firings per million hook crossings; 0 disables. site_filter restricts
 // firing to sites whose name contains the given substring (e.g. "ebr" or
 // "service/submit"); nullptr or "" fires at every site. Each call replaces
-// the previous filter (the old string is leaked — reconfiguration is a rare,
-// test-only event and racing crossings must never read freed memory).
+// the previous filter; see retain_site_filter() for why none is freed.
 inline void fault_injection_configure(std::uint32_t ppm, std::uint64_t seed,
                                       FaultAction action = FaultAction::kDelay,
                                       const char* site_filter = nullptr) {
@@ -109,10 +126,8 @@ inline void fault_injection_configure(std::uint32_t ppm, std::uint64_t seed,
   state.seed.store(seed, std::memory_order_relaxed);
   state.action.store(static_cast<std::uint8_t>(action),
                      std::memory_order_relaxed);
-  state.site_filter.store(
-      site_filter != nullptr && site_filter[0] != '\0' ? strdup(site_filter)
-                                                       : nullptr,
-      std::memory_order_release);
+  state.site_filter.store(retain_site_filter(site_filter),
+                          std::memory_order_release);
   state.ppm.store(ppm, std::memory_order_relaxed);
   state.generation.fetch_add(1, std::memory_order_acq_rel);
 }

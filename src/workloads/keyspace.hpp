@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <optional>
 #include <string>
 
 #include "platform/rng.hpp"
@@ -134,10 +133,10 @@ class KeyGenerator {
       case KeyDistribution::kZipf:
         // span = mask_+1 must not wrap: zipf/hotspot require bits <= 63,
         // which the spec parser enforces at the CLI boundary.
-        zipf_.emplace(mask_ + 1, config.zipf_theta);
+        zipf_ = ZipfSampler(mask_ + 1, config.zipf_theta);
         break;
       case KeyDistribution::kHotspot:
-        hotspot_.emplace(mask_ + 1, config.hot_ops, config.hot_keys);
+        hotspot_ = HotspotSampler(mask_ + 1, config.hot_ops, config.hot_keys);
         break;
       default:
         break;
@@ -159,9 +158,9 @@ class KeyGenerator {
       case KeyDistribution::kHold:
         return last_deleted_ + (rng_.next() & mask_);
       case KeyDistribution::kZipf:
-        return zipf_->next(rng_) - 1;  // rank 1 -> key 0: hot == minimum
+        return zipf_.next(rng_) - 1;  // rank 1 -> key 0: hot == minimum
       case KeyDistribution::kHotspot:
-        return hotspot_->next(rng_);
+        return hotspot_.next(rng_);
       case KeyDistribution::kDijkstra:
         return last_deleted_ +
                rng_.next_in(config_.dijkstra_min, config_.dijkstra_max);
@@ -188,8 +187,10 @@ class KeyGenerator {
   std::uint64_t mask_;
   std::uint64_t op_counter_ = 0;
   std::uint64_t last_deleted_ = 0;
-  std::optional<ZipfSampler> zipf_;
-  std::optional<HotspotSampler> hotspot_;
+  // Set up by the constructor for their distribution; the default-built
+  // samplers of the others are valid and never drawn from.
+  ZipfSampler zipf_;
+  HotspotSampler hotspot_;
 };
 
 }  // namespace cpq::workloads

@@ -1,7 +1,7 @@
 // Chaos-campaign coverage, compiled with CPQ_FAULT_INJECTION: the schedule
 // parser, the site-filtered injection seams, drain-under-fault conservation,
-// close() racing injected submits, a short end-to-end campaign, and the JSON
-// schema round-trip for the chaos metrics.
+// close() racing injected submits, short end-to-end campaigns (also over the
+// buffered MultiQueue), and the JSON schema round-trip for the chaos metrics.
 //
 // ODR: links cpq_queues + cpq_bench_io only — never cpq_bench_framework,
 // whose registry.cpp instantiates the same queue templates without injection
@@ -18,6 +18,7 @@
 
 #include "bench_framework/json_out.hpp"
 #include "queues/globallock.hpp"
+#include "queues/multiqueue.hpp"
 #include "service/priority_service.hpp"
 #include "validation/chaos.hpp"
 #include "validation/chaos_campaign.hpp"
@@ -47,17 +48,14 @@ TEST(ChaosSchedule, ParsesWorkloadKeysAndScenarios) {
       "arrival_hz 1000  # trailing comment\n"
       "producers 3\n"
       "consumers 2\n"
-      "shards 8\n"
       "policy tiered\n"
       "ttl_us 50000\n"
-      "breaker_trip_us 2000\n"
       "window_ms 50\n"
       "recovery_factor 3\n"
       "rank_bound 4096\n"
       "\n"
-      "scenario convoy start=0.4 dur=0.2 kind=stall_shard shard=3 "
-      "stall_us=7000\n"
-      "scenario kill start=0.8 dur=0.2 kind=kill_shard shard=1\n"
+      "scenario convoy start=0.4 dur=0.2 kind=stall stall_us=7000\n"
+      "scenario kill start=0.8 dur=0.2 kind=stall stall_us=150000\n"
       "scenario spins start=1.1 dur=0.2 kind=inject site=spinlock "
       "ppm=40000\n";
   ChaosSchedule schedule;
@@ -65,14 +63,12 @@ TEST(ChaosSchedule, ParsesWorkloadKeysAndScenarios) {
   ASSERT_TRUE(parse_chaos_schedule(text, schedule, error)) << error;
   EXPECT_DOUBLE_EQ(schedule.duration_s, 1.5);
   EXPECT_EQ(schedule.producers, 3u);
-  EXPECT_EQ(schedule.shards, 8u);
   EXPECT_EQ(schedule.policy, "tiered");
   EXPECT_EQ(schedule.ttl_us, 50'000u);
   ASSERT_EQ(schedule.scenarios.size(), 3u);
-  EXPECT_EQ(schedule.scenarios[0].kind, ChaosFaultKind::kStallShard);
-  EXPECT_EQ(schedule.scenarios[0].shard, 3u);
-  EXPECT_EQ(schedule.scenarios[0].effective_stall_us(), 7000u);
-  EXPECT_EQ(schedule.scenarios[1].effective_stall_us(), 50'000u);  // default
+  EXPECT_EQ(schedule.scenarios[0].kind, ChaosFaultKind::kStall);
+  EXPECT_EQ(schedule.scenarios[0].stall_us, 7000u);
+  EXPECT_EQ(schedule.scenarios[1].stall_us, 150'000u);
   EXPECT_EQ(schedule.scenarios[2].site, "spinlock");
   EXPECT_EQ(schedule.scenarios[2].ppm, 40'000u);
 }
@@ -136,8 +132,34 @@ TEST(ChaosSchedule, RejectsMalformedInput) {
       "scenario x start=1.9 dur=0.5 kind=inject\n", schedule,
       error));  // clears past duration_s: no recovery window
   EXPECT_FALSE(parse_chaos_schedule(
-      "shards 2\nscenario x start=0.5 dur=0.1 kind=stall_shard shard=5\n",
-      schedule, error));  // shard out of range
+      "scenario x start=0.5 dur=0.1 kind=stall\n", schedule,
+      error));  // a stall needs its length
+  EXPECT_NE(error.find("stall_us"), std::string::npos) << error;
+}
+
+// The service holds one queue: the keys of the deleted shard, buffer and
+// circuit-breaker layer are unknown, so an old schedule fails loudly
+// instead of silently running a different campaign.
+TEST(ChaosSchedule, RejectsKeysOfTheRemovedShardLayer) {
+  ChaosSchedule schedule;
+  std::string error;
+  for (const char* line :
+       {"shards 4\n", "insert_batch 8\n", "delete_batch 8\n",
+        "breaker_trip_us 2000\n", "breaker_consecutive 2\n",
+        "breaker_cooldown_us 5000\n"}) {
+    EXPECT_FALSE(parse_chaos_schedule(line, schedule, error)) << line;
+    EXPECT_NE(error.find("unknown key"), std::string::npos) << error;
+  }
+  for (const char* line :
+       {"scenario x start=0.5 dur=0.1 kind=stall_shard stall_us=10\n",
+        "scenario x start=0.5 dur=0.1 kind=kill_shard\n"}) {
+    EXPECT_FALSE(parse_chaos_schedule(line, schedule, error)) << line;
+    EXPECT_NE(error.find("unknown kind"), std::string::npos) << error;
+  }
+  EXPECT_FALSE(parse_chaos_schedule(
+      "scenario x start=0.5 dur=0.1 kind=stall stall_us=10 shard=1\n",
+      schedule, error));
+  EXPECT_NE(error.find("unknown scenario key"), std::string::npos) << error;
 }
 
 // ------------------------------------------------------------ site filter
@@ -165,6 +187,30 @@ TEST(ChaosInjection, ThrowActionRaisesInjectedFaultOnMatchingSiteOnly) {
   EXPECT_THROW(CPQ_INJECT("service/submit"), InjectedFault);
 }
 
+// Reconfiguring replaces the filter, but the replaced string stays
+// readable (a racing crossing may still hold it) and reachable from the
+// retained list instead of leaking; equal filters share one copy.
+TEST(ChaosInjection, ReplacedSiteFiltersStayReadableAndAreShared) {
+  InjectionGuard guard;
+  fault_injection_configure(1'000'000, 7, FaultAction::kDelay,
+                            "service/submit");
+  const char* first =
+      injection_state().site_filter.load(std::memory_order_acquire);
+  ASSERT_NE(first, nullptr);
+  fault_injection_configure(1'000'000, 7, FaultAction::kDelay,
+                            "service/delete_min");
+  EXPECT_STREQ(first, "service/submit");
+  const std::uint64_t before = fault_injections_fired();
+  CPQ_INJECT("service/submit");  // the replaced filter no longer applies
+  EXPECT_EQ(fault_injections_fired(), before);
+  CPQ_INJECT("service/delete_min");
+  EXPECT_EQ(fault_injections_fired(), before + 1);
+
+  EXPECT_EQ(retain_site_filter("service/submit"), first);
+  EXPECT_EQ(retain_site_filter(nullptr), nullptr);
+  EXPECT_EQ(retain_site_filter(""), nullptr);
+}
+
 // ---------------------------------------------------- drain under faults
 
 std::unique_ptr<Service> make_service(unsigned threads,
@@ -182,8 +228,6 @@ TEST(ChaosDrain, CloseAndDrainUnderThrowingSubmitsConserves) {
   InjectionGuard guard;
   constexpr unsigned kProducers = 3;
   service::ServiceConfig cfg;
-  cfg.shards = 2;
-  cfg.insert_batch = 4;
   CheckedQueue<Service> checked(kProducers, make_service(kProducers, cfg));
   Service& service = checked.inner();
 
@@ -221,9 +265,6 @@ TEST(ChaosDrain, DrainUnderDelayFaultsEverywhereConserves) {
   InjectionGuard guard;
   constexpr unsigned kWorkers = 4;
   service::ServiceConfig cfg;
-  cfg.shards = 2;
-  cfg.insert_batch = 4;
-  cfg.delete_batch = 4;
   cfg.ttl_us = 500;  // shedding active under fault delays
   CheckedQueue<Service> checked(kWorkers, make_service(kWorkers, cfg));
   Service& service = checked.inner();
@@ -271,14 +312,11 @@ TEST(ChaosCampaign, ShortCampaignRunsGreen) {
       "arrival_hz 4000\n"
       "producers 1\n"
       "consumers 1\n"
-      "shards 2\n"
       "ttl_us 100000\n"
-      "breaker_trip_us 1500\n"
       "window_ms 25\n"
       "recovery_factor 3\n"
       "recovery_floor_ms 5\n"
-      "scenario stall start=0.3 dur=0.15 kind=stall_shard shard=0 "
-      "stall_us=3000\n"
+      "scenario stall start=0.3 dur=0.15 kind=stall stall_us=3000\n"
       "scenario boom start=0.6 dur=0.15 kind=inject_throw ppm=5000\n",
       schedule, error))
       << error;
@@ -314,14 +352,11 @@ TEST(ChaosCampaign, HotspotKeyedCampaignConservesUnderSkew) {
       "key_space 65536\n"
       "hot_ops 0.9\n"
       "hot_keys 0.004\n"
-      "shards 2\n"
       "ttl_us 100000\n"
-      "breaker_trip_us 1500\n"
       "window_ms 25\n"
       "recovery_factor 3\n"
       "recovery_floor_ms 5\n"
-      "scenario hot-stall start=0.3 dur=0.15 kind=stall_shard shard=0 "
-      "stall_us=3000\n",
+      "scenario hot-stall start=0.3 dur=0.15 kind=stall stall_us=3000\n",
       schedule, error))
       << error;
   const ChaosCampaignResult result = run_chaos_campaign(
@@ -334,11 +369,81 @@ TEST(ChaosCampaign, HotspotKeyedCampaignConservesUnderSkew) {
   EXPECT_TRUE(result.ok());
 }
 
+// Slow queue -> shed -> recover: a stall longer than the time-to-live
+// makes every task submitted during it expire before a consumer reaches
+// it. The expired tasks must be shed (and counted as the only "lost"
+// ones), and sojourn p99 must recover once the stall clears.
+TEST(ChaosCampaign, StallLongerThanTtlShedsThenRecovers) {
+  InjectionGuard guard;
+  ChaosSchedule schedule;
+  std::string error;
+  ASSERT_TRUE(parse_chaos_schedule(
+      "duration_s 0.9\n"
+      "baseline_s 0.2\n"
+      "arrival_hz 4000\n"
+      "producers 1\n"
+      "consumers 1\n"
+      "ttl_us 20000\n"
+      "window_ms 25\n"
+      "recovery_factor 3\n"
+      "recovery_floor_ms 5\n"
+      "scenario slow-queue start=0.3 dur=0.15 kind=stall stall_us=30000\n",
+      schedule, error))
+      << error;
+  const ChaosCampaignResult result = run_chaos_campaign(
+      schedule, /*seed=*/44,
+      [](unsigned) { return std::make_unique<Lock>(2); });
+  print_chaos_result(stderr, result);
+  EXPECT_TRUE(result.conservation_ok) << result.conservation;
+  EXPECT_GT(result.shed, 0u) << "a stall past the ttl shed nothing";
+  ASSERT_EQ(result.outcomes.size(), 1u);
+  EXPECT_GE(result.outcomes[0].recovery_ms, 0.0) << "never recovered";
+  EXPECT_TRUE(result.ok());
+}
+
+// The service's only buffers are now a buffered queue's: run a campaign
+// over MultiQueue's engineered configuration with delays at the queue's
+// own flush, refill and spill seams, then throwing submits; every accepted
+// task must still be delivered, drained or shed exactly once.
+TEST(ChaosCampaign, BufferedMqEngCampaignConservesUnderFaults) {
+  InjectionGuard guard;
+  ChaosSchedule schedule;
+  std::string error;
+  ASSERT_TRUE(parse_chaos_schedule(
+      "duration_s 0.9\n"
+      "baseline_s 0.2\n"
+      "arrival_hz 4000\n"
+      "producers 1\n"
+      "consumers 1\n"
+      "ttl_us 100000\n"
+      "window_ms 25\n"
+      "recovery_factor 3\n"
+      "recovery_floor_ms 5\n"
+      "scenario slow-buffers start=0.3 dur=0.15 kind=inject site=mq_eng "
+      "ppm=200000\n"
+      "scenario submit-boom start=0.6 dur=0.15 kind=inject_throw "
+      "ppm=5000\n",
+      schedule, error))
+      << error;
+  const ChaosCampaignResult result = run_chaos_campaign(
+      schedule, /*seed=*/45, [](unsigned) {
+        return std::make_unique<MultiQueue<K, V>>(2, MqEngConfig{}, 45);
+      });
+  print_chaos_result(stderr, result);
+  EXPECT_TRUE(result.conservation_ok) << result.conservation;
+  EXPECT_GT(result.submitted, 0u);
+  EXPECT_GT(result.delivered, 0u);
+  ASSERT_EQ(result.outcomes.size(), 2u);
+  for (const ChaosScenarioOutcome& outcome : result.outcomes) {
+    EXPECT_TRUE(outcome.applied) << outcome.name;
+  }
+}
+
 // -------------------------------------------------- JSON schema round-trip
 
 TEST(ChaosJson, ChaosMetricsRoundTripThroughTheSchema) {
   for (const char* metric :
-       {"chaos_baseline_p99_ms", "chaos_recovery_ms:shard-kill",
+       {"chaos_baseline_p99_ms", "chaos_recovery_ms:slow-queue",
         "chaos_conservation_ok", "chaos_rank_violations_outside"}) {
     bench::JsonRecord record;
     record.experiment = "chaos_basic_campaign";

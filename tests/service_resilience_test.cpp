@@ -1,12 +1,14 @@
 // Overload-resilience coverage: the building blocks in service/resilience.hpp
-// (DeadlinePool, TierMap/tier_admitted, CircuitBreaker), their integration
-// into PriorityService (deadline shedding, tiered admission, retry,
-// breaker-driven rerouting), close() idempotence under concurrent inserts,
-// the shed-aware open-loop bench, and stall-dump filename uniqueness.
+// (DeadlinePool, TierMap/tier_admitted), their integration into
+// PriorityService (deadline shedding and its per-pop cap, also over a
+// buffered queue, tiered admission, retry), close() idempotence under
+// concurrent inserts, the shed-aware open-loop bench, and stall-dump
+// filename uniqueness.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "queues/globallock.hpp"
+#include "queues/multiqueue.hpp"
 #include "service/priority_service.hpp"
 #include "service/resilience.hpp"
 #include "service/service_bench.hpp"
@@ -127,70 +130,10 @@ TEST(TierAdmitted, GraduatedThresholds) {
   EXPECT_FALSE(tier_admitted(100, 100, 0, 1));
 }
 
-// ---------------------------------------------------------------- breaker
-
-TEST(CircuitBreaker, DisabledAlwaysAllows) {
-  CircuitBreaker breaker;
-  EXPECT_TRUE(breaker.allow(0));
-  EXPECT_FALSE(breaker.record(0, 1'000'000));
-  EXPECT_TRUE(breaker.allow(1'000'000));
-  EXPECT_EQ(breaker.trips(), 0u);
-}
-
-TEST(CircuitBreaker, TripsAfterConsecutiveSlowBatches) {
-  CircuitBreaker breaker;
-  breaker.configure(/*trip_us=*/100, /*consecutive=*/2, /*cooldown_us=*/1000);
-  EXPECT_FALSE(breaker.record(0, 500));   // first slow batch: streak 1
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(breaker.record(10, 500));   // second: trips
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(breaker.trips(), 1u);
-  EXPECT_FALSE(breaker.allow(500));       // cooling down
-  EXPECT_TRUE(breaker.allow(1500));       // probe admitted
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-}
-
-TEST(CircuitBreaker, FastBatchResetsSlowStreak) {
-  CircuitBreaker breaker;
-  breaker.configure(100, 2, 1000);
-  EXPECT_FALSE(breaker.record(0, 500));
-  EXPECT_FALSE(breaker.record(10, 5));  // fast: streak resets
-  EXPECT_FALSE(breaker.record(20, 500));
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-}
-
-TEST(CircuitBreaker, HalfOpenProbeClosesOnFastReopensOnSlow) {
-  CircuitBreaker breaker;
-  breaker.configure(100, 1, 1000);
-  ASSERT_TRUE(breaker.record(0, 500));
-  ASSERT_TRUE(breaker.allow(2000));  // probe
-  EXPECT_FALSE(breaker.record(2100, 5));  // fast probe: closed again
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  ASSERT_TRUE(breaker.record(2200, 500));  // trip again
-  ASSERT_TRUE(breaker.allow(3300));
-  EXPECT_TRUE(breaker.record(3400, 500));  // slow probe: reopens
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(breaker.trips(), 3u);
-}
-
-TEST(CircuitBreaker, OnlyOneProbeWinsTheHalfOpenToken) {
-  CircuitBreaker breaker;
-  breaker.configure(100, 1, 1000);
-  ASSERT_TRUE(breaker.record(0, 500));
-  unsigned admitted = 0;
-  for (unsigned i = 0; i < 8; ++i) {
-    if (breaker.allow(1500)) ++admitted;
-  }
-  EXPECT_EQ(admitted, 1u);
-}
-
 // ------------------------------------------------------- deadline shedding
 
 TEST(ServiceResilience, ExpiredTasksAreShedAtPopAndCounted) {
   ServiceConfig cfg;
-  cfg.shards = 1;
-  cfg.insert_batch = 1;
-  cfg.delete_batch = 1;
   cfg.ttl_us = 1;  // everything expires almost immediately
   auto service = make_lock_service(1, cfg);
   std::vector<std::pair<K, V>> shed;
@@ -211,7 +154,6 @@ TEST(ServiceResilience, ExpiredTasksAreShedAtPopAndCounted) {
 
 TEST(ServiceResilience, UnexpiredTasksSurviveTheTtl) {
   ServiceConfig cfg;
-  cfg.shards = 1;
   cfg.ttl_us = 60'000'000;  // one minute: nothing expires in-test
   auto service = make_lock_service(1, cfg);
   auto handle = service->get_handle(0);
@@ -224,10 +166,62 @@ TEST(ServiceResilience, UnexpiredTasksSurviveTheTtl) {
   EXPECT_EQ(service->stats().shed_deadline, 0u);
 }
 
+// One delete_min sheds at most kMaxShedRounds (64) expired tasks, then
+// returns false with last_pop_shed() set so the caller can heartbeat; the
+// next calls pick up where it stopped, and only a call that sheds nothing
+// means empty.
+TEST(ServiceResilience, ShedCapPerPopLeavesTheRestForTheNextCall) {
+  ServiceConfig cfg;
+  cfg.ttl_us = 1;
+  auto service = make_lock_service(1, cfg);
+  auto handle = service->get_handle(0);
+  for (K key = 0; key < 150; ++key) handle.insert(key, key);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  K key;
+  V value;
+  std::vector<std::size_t> per_call;
+  for (int call = 0; call < 4; ++call) {
+    EXPECT_FALSE(handle.delete_min(key, value));
+    per_call.push_back(handle.last_pop_shed());
+  }
+  EXPECT_EQ(per_call, (std::vector<std::size_t>{64, 64, 22, 0}));
+  EXPECT_EQ(service->stats().shed_deadline, 150u);
+  EXPECT_EQ(service->in_flight(), 0u);
+}
+
+// The deadline runs from submission, so time a task spends in a buffered
+// queue's insertion buffer counts against it: tasks that sat there past
+// their ttl are shed when the consumer reaches them, never delivered.
+TEST(ServiceResilience, DeadlineRunsWhileTaskWaitsInAQueueBuffer) {
+  using Mq = MultiQueue<K, V>;
+  ServiceConfig cfg;
+  cfg.ttl_us = 1'000;
+  PriorityService<Mq> service(2, cfg, [](unsigned) {
+    return std::make_unique<Mq>(2, MqEngConfig{}, 5);
+  });
+  ASSERT_GT(MqEngConfig{}.ins_buffer, 5u);
+  {
+    auto producer = service.get_handle(0);
+    for (K key = 0; key < 5; ++key) producer.insert(key, key);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }  // teardown publishes the expired partial batch
+  auto consumer = service.get_handle(1);
+  K key;
+  V value;
+  std::size_t shed = 0;
+  for (int attempt = 0; attempt < 10'000 && shed < 5; ++attempt) {
+    ASSERT_FALSE(consumer.delete_min(key, value)) << "delivered key " << key;
+    shed += consumer.last_pop_shed();
+  }
+  EXPECT_EQ(shed, 5u);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.shed_deadline, 5u);
+  EXPECT_EQ(stats.delivered, 0u);
+  EXPECT_EQ(service.in_flight(), 0u);
+}
+
 TEST(ServiceResilience, PoolExhaustionFallsBackToNoDeadlineWithoutLoss) {
   ServiceConfig cfg;
-  cfg.shards = 1;
-  cfg.insert_batch = 1;
   cfg.ttl_us = 1;
   cfg.deadline_slots = 2;  // tiny pool: the rest must travel untagged
   auto service = make_lock_service(1, cfg);
@@ -248,8 +242,6 @@ TEST(ServiceResilience, PoolExhaustionFallsBackToNoDeadlineWithoutLoss) {
 
 TEST(ServiceResilience, TieredAdmissionRefusesLowPriorityFirst) {
   ServiceConfig cfg;
-  cfg.shards = 1;
-  cfg.insert_batch = 1;
   cfg.max_in_flight = 8;
   cfg.policy = AdmissionPolicy::kTiered;
   cfg.tiers = 2;
@@ -269,8 +261,6 @@ TEST(ServiceResilience, TieredAdmissionRefusesLowPriorityFirst) {
 
 TEST(ServiceResilience, SubmitWithRetryBacksOffThenGivesUp) {
   ServiceConfig cfg;
-  cfg.shards = 1;
-  cfg.insert_batch = 1;
   cfg.max_in_flight = 1;
   cfg.policy = AdmissionPolicy::kReject;
   cfg.retry_limit = 2;
@@ -287,9 +277,6 @@ TEST(ServiceResilience, SubmitWithRetryBacksOffThenGivesUp) {
 
 TEST(ServiceResilience, SubmitWithRetrySucceedsWhenWindowDrains) {
   ServiceConfig cfg;
-  cfg.shards = 1;
-  cfg.insert_batch = 1;
-  cfg.delete_batch = 1;
   cfg.max_in_flight = 1;
   cfg.policy = AdmissionPolicy::kReject;
   cfg.retry_limit = 64;
@@ -317,37 +304,6 @@ TEST(ServiceResilience, SubmitWithRetrySucceedsWhenWindowDrains) {
   EXPECT_TRUE(producer.submit_with_retry(2, 2));
   drainer.join();
   EXPECT_GT(service->stats().retries, 0u);
-}
-
-// --------------------------------------------------------------- breaker
-
-TEST(ServiceResilience, StalledShardTripsBreakerAndReroutes) {
-  ServiceConfig cfg;
-  cfg.shards = 2;
-  cfg.insert_batch = 4;
-  cfg.delete_batch = 4;
-  cfg.breaker_trip_us = 500;
-  cfg.breaker_consecutive = 1;
-  cfg.breaker_cooldown_us = 60'000'000;  // stays open for the whole test
-  auto service = make_lock_service(1, cfg);
-  service->chaos_stall_shard(0, 2'000);  // every shard-0 batch takes >= 2 ms
-  auto handle = service->get_handle(0);
-  // Two-choice routing will hit shard 0 quickly; after the first slow flush
-  // the breaker opens and later flushes steer to shard 1.
-  for (K key = 0; key < 64; ++key) handle.insert(key, key);
-  handle.flush();
-  const ServiceStats stats = service->stats();
-  EXPECT_GT(stats.breaker_trips, 0u);
-  EXPECT_GT(stats.reroutes, 0u);
-  EXPECT_TRUE(stats.shards[0].breaker_open);
-  // The stalled shard still drains: the breaker only steers routing, the
-  // emptiness sweep visits every shard.
-  service->chaos_stall_shard(0, 0);
-  K key;
-  V value;
-  std::uint64_t delivered = 0;
-  while (handle.delete_min(key, value)) ++delivered;
-  EXPECT_EQ(delivered, 64u);
 }
 
 // ------------------------------------------------------------- close()
@@ -383,8 +339,6 @@ TEST(ServiceResilience, CloseRacingInsertsLosesNoAcceptedTask) {
   // runs this test; the plain run still catches count mismatches.)
   constexpr unsigned kSubmitters = 3;
   ServiceConfig cfg;
-  cfg.shards = 2;
-  cfg.insert_batch = 4;
   auto service = make_lock_service(kSubmitters, cfg);
   std::atomic<std::uint64_t> accepted{0};
   std::vector<std::thread> team;
@@ -396,7 +350,6 @@ TEST(ServiceResilience, CloseRacingInsertsLosesNoAcceptedTask) {
           accepted.fetch_add(1, std::memory_order_relaxed);
         }
       }
-      // Handle destructor flushes any buffered accepted tasks.
     });
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -1,13 +1,18 @@
-// Unit tests for the PriorityService dispatch layer: delivery and ordering
-// under batching, admission control (reject and blocking backpressure),
-// deadline flushing, close()/drain() shutdown, per-shard counters, and the
-// open-loop service bench harness (including its CheckedQueue mode).
+// Unit tests for the PriorityService dispatch layer: exact ordering over a
+// strict queue, admission control (reject and blocking backpressure),
+// close()/drain() shutdown, per-thread counters that outlive handles, when a
+// buffered queue publishes, the chaos stall hook, and the open-loop service
+// bench harness (including its CheckedQueue mode).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,18 +31,27 @@ using K = std::uint64_t;
 using V = std::uint64_t;
 using Lock = GlobalLockQueue<K, V>;
 
+using Mq = MultiQueue<K, V>;
+using MqService = PriorityService<Mq>;
+
 std::unique_ptr<PriorityService<Lock>> make_lock_service(
     unsigned threads, const ServiceConfig& cfg) {
   return std::make_unique<PriorityService<Lock>>(
       threads, cfg, [&](unsigned) { return std::make_unique<Lock>(threads); });
 }
 
+// The buffered MultiQueue (insertion/deletion buffers, sticky rounds).
+std::unique_ptr<MqService> make_mq_eng_service(unsigned threads,
+                                               const ServiceConfig& cfg) {
+  return std::make_unique<MqService>(threads, cfg, [&](unsigned) {
+    return std::make_unique<Mq>(threads, MqEngConfig{}, 1);
+  });
+}
+
+// The service is one queue with no buffers of its own, so over a strict
+// queue a batch of inserts comes back out in exact key order.
 TEST(PriorityService, SingleShardUnbatchedIsStrictlyOrdered) {
-  ServiceConfig cfg;
-  cfg.shards = 1;
-  cfg.insert_batch = 1;
-  cfg.delete_batch = 1;
-  auto service = make_lock_service(1, cfg);
+  auto service = make_lock_service(1, {});
   auto handle = service->get_handle(0);
   for (K key : {9u, 3u, 7u, 1u, 5u}) handle.insert(key, key * 10);
   K key;
@@ -50,56 +64,42 @@ TEST(PriorityService, SingleShardUnbatchedIsStrictlyOrdered) {
   EXPECT_EQ(popped, (std::vector<K>{1, 3, 5, 7, 9}));
 }
 
-TEST(PriorityService, BufferedInsertsPublishOnBatchOrExplicitFlush) {
-  ServiceConfig cfg;
-  cfg.shards = 1;
-  cfg.insert_batch = 4;
-  auto service = make_lock_service(2, cfg);
-  auto producer = service->get_handle(0);
-  auto consumer = service->get_handle(1);
-
-  producer.insert(1, 1);
-  producer.insert(2, 2);
-  EXPECT_EQ(producer.buffered_inserts(), 2u);
+// One thread, default config, over a strict queue: the service adds no
+// relaxation, so every pop returns the current minimum — also when inserts
+// and pops interleave (a handle-side insertion or deletion buffer would
+// hand out a stale or not-yet-published minimum here).
+TEST(PriorityService, DefaultConfigDeliversInExactKeyOrderOverGlock) {
+  auto service = make_lock_service(1, {});
+  auto handle = service->get_handle(0);
+  std::multiset<K> reference;
+  Xoroshiro128 rng(3);
   K key;
   V value;
-  // Buffered tasks are invisible to other handles until a flush.
-  EXPECT_FALSE(consumer.delete_min(key, value));
-
-  producer.insert(3, 3);
-  producer.insert(4, 4);  // batch full: auto-flush
-  EXPECT_EQ(producer.buffered_inserts(), 0u);
-  EXPECT_TRUE(consumer.delete_min(key, value));
-  EXPECT_EQ(key, 1u);
-
-  producer.insert(5, 5);
-  producer.flush();
-  EXPECT_EQ(producer.buffered_inserts(), 0u);
-  std::size_t rest = 0;
-  while (consumer.delete_min(key, value)) ++rest;
-  EXPECT_EQ(rest, 4u);
-}
-
-TEST(PriorityService, DeadlineForcesFlushOfStaleBuffer) {
-  ServiceConfig cfg;
-  cfg.shards = 1;
-  cfg.insert_batch = 64;
-  cfg.flush_deadline_us = 500;
-  auto service = make_lock_service(1, cfg);
-  auto handle = service->get_handle(0);
-  handle.insert(1, 1);
-  EXPECT_EQ(handle.buffered_inserts(), 1u);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  handle.insert(2, 2);  // submit notices the expired deadline
-  EXPECT_EQ(handle.buffered_inserts(), 0u);
-  EXPECT_GE(service->stats().deadline_flushes, 1u);
+  for (int round = 0; round < 200; ++round) {
+    const unsigned inserts = 1 + static_cast<unsigned>(rng.next_below(12));
+    for (unsigned i = 0; i < inserts; ++i) {
+      const K k = rng.next_below(1000);
+      handle.insert(k, k * 10);
+      reference.insert(k);
+    }
+    const unsigned pops = 1 + static_cast<unsigned>(rng.next_below(12));
+    for (unsigned i = 0; i < pops && !reference.empty(); ++i) {
+      ASSERT_TRUE(handle.delete_min(key, value));
+      EXPECT_EQ(value, key * 10);
+      ASSERT_EQ(key, *reference.begin()) << "round " << round;
+      reference.erase(reference.begin());
+    }
+  }
+  while (!reference.empty()) {
+    ASSERT_TRUE(handle.delete_min(key, value));
+    ASSERT_EQ(key, *reference.begin());
+    reference.erase(reference.begin());
+  }
+  EXPECT_FALSE(handle.delete_min(key, value));
 }
 
 TEST(PriorityService, RejectPolicyBoundsInFlightWork) {
   ServiceConfig cfg;
-  cfg.shards = 1;
-  cfg.insert_batch = 1;
-  cfg.delete_batch = 1;
   cfg.max_in_flight = 2;
   cfg.policy = AdmissionPolicy::kReject;
   auto service = make_lock_service(1, cfg);
@@ -120,7 +120,6 @@ TEST(PriorityService, RejectPolicyBoundsInFlightWork) {
 
 TEST(PriorityService, CloseRejectsNewWorkButKeepsAcceptedDeliverable) {
   ServiceConfig cfg;
-  cfg.shards = 2;
   auto service = make_lock_service(1, cfg);
   auto handle = service->get_handle(0);
   handle.insert(1, 10);
@@ -146,9 +145,6 @@ TEST(PriorityService, BackpressureDrainShutdownDropsNoTask) {
   constexpr unsigned kThreads = kProducers + kConsumers;
   constexpr std::uint64_t kPerProducer = 5000;
   ServiceConfig cfg;
-  cfg.shards = 2;
-  cfg.insert_batch = 4;
-  cfg.delete_batch = 4;
   cfg.max_in_flight = 64;  // far below the offered total: submitters block
   cfg.policy = AdmissionPolicy::kBlock;
   auto service = make_lock_service(kThreads, cfg);
@@ -171,7 +167,7 @@ TEST(PriorityService, BackpressureDrainShutdownDropsNoTask) {
         for (std::uint64_t i = 0; i < kPerProducer; ++i) {
           handle.insert(i % 97, tid * kPerProducer + i);
         }
-      }  // handle destruction flushes the insertion buffer
+      }
       producers_done.fetch_add(1, std::memory_order_release);
     } else {
       auto handle = service->get_handle(tid);
@@ -204,8 +200,6 @@ TEST(PriorityService, BackpressureDrainShutdownDropsNoTask) {
 
 TEST(PriorityService, CloseWakesBlockedSubmitters) {
   ServiceConfig cfg;
-  cfg.shards = 1;
-  cfg.insert_batch = 1;
   cfg.max_in_flight = 1;
   cfg.policy = AdmissionPolicy::kBlock;
   auto service = make_lock_service(2, cfg);
@@ -227,80 +221,171 @@ TEST(PriorityService, CloseWakesBlockedSubmitters) {
 }
 
 TEST(PriorityService, StatsAccountForEveryFlushedAndPoppedTask) {
-  ServiceConfig cfg;
-  cfg.shards = 4;
-  cfg.insert_batch = 8;
-  cfg.delete_batch = 8;
-  auto service = make_lock_service(1, cfg);
+  auto service = make_mq_eng_service(1, {});
   {
     auto handle = service->get_handle(0);
     Xoroshiro128 rng(7);
     for (std::uint64_t i = 0; i < 1000; ++i) {
       handle.insert(rng.next_below(1u << 20), i);
     }
-    handle.flush();
     K key;
     V value;
     for (int i = 0; i < 500; ++i) ASSERT_TRUE(handle.delete_min(key, value));
-  }  // destructor spills the prefetched remainder back into the shards
+  }  // the queue handle spills its buffers back into the queue
 
-  const ServiceStats stats = service->stats();
+  ServiceStats stats = service->stats();
   EXPECT_EQ(stats.submitted, 1000u);
   EXPECT_EQ(stats.delivered, 500u);
-  EXPECT_EQ(service->shard_count(), 4u);
-  ASSERT_EQ(stats.shards.size(), 4u);
-  std::uint64_t enqueued = 0;
-  std::uint64_t dequeued = 0;
-  std::size_t sized = 0;
-  for (const ShardStats& shard : stats.shards) {
-    enqueued += shard.enqueued;
-    dequeued += shard.dequeued;
-    sized += shard.approx_size;
-  }
-  // Every submitted task was flushed into some shard, plus the destructor
-  // spill re-enqueued what sat in the deletion buffer.
-  EXPECT_GE(enqueued, 1000u);
-  EXPECT_EQ(enqueued - dequeued, 500u);  // what is still stored
-  EXPECT_EQ(sized, 500u);
-  EXPECT_GE(stats.flushes, 1000u / 8);
-  EXPECT_GT(stats.mean_insert_fill, 1.0);
-  EXPECT_GT(stats.mean_delete_fill, 1.0);
+  EXPECT_EQ(stats.drained, 0u);
+  EXPECT_EQ(service->in_flight(), 500u);
+  // The service has no buffers of its own; the queue's are not its to count.
+  EXPECT_EQ(stats.flushes + stats.refills + stats.steals, 0u);
+  EXPECT_EQ(stats.mean_insert_fill, 0.0);
+  EXPECT_EQ(stats.mean_delete_fill, 0.0);
 
   std::size_t drained = 0;
   service->drain([&](K, V) { ++drained; });
   EXPECT_EQ(drained, 500u);
+  stats = service->stats();
+  EXPECT_EQ(stats.drained, 500u);
+  EXPECT_EQ(service->in_flight(), 0u);
 }
 
-TEST(PriorityService, TwoChoiceRoutingSpreadsLoadAcrossShards) {
+// Counts live in per-thread-id blocks owned by the service, not in handles:
+// with handles created and destroyed mid-run (each teardown spills the
+// queue's buffers) and no admission bound, every accepted task is still
+// accounted for exactly once after the drain.
+TEST(PriorityService, CountsOutliveHandlesAndBalanceAfterDrain) {
+  constexpr unsigned kThreads = 4;
   ServiceConfig cfg;
-  cfg.shards = 4;
-  cfg.insert_batch = 4;
-  auto service = make_lock_service(1, cfg);
+  cfg.ttl_us = 200;  // some tasks expire in the queue and are shed
+  auto service = make_mq_eng_service(kThreads, cfg);
+  std::atomic<std::uint64_t> accepted{0};
+  run_team(kThreads, [&](unsigned tid) {
+    Xoroshiro128 rng(thread_seed(0xc0de, tid));
+    std::uint64_t mine = 0;
+    for (int epoch = 0; epoch < 8; ++epoch) {
+      auto handle = service->get_handle(tid);
+      for (int op = 0; op < 2000; ++op) {
+        if (rng.next_below(100) < 60) {
+          mine += handle.insert(rng.next_below(1u << 16), tid);
+        } else {
+          K key;
+          V value;
+          handle.delete_min(key, value);
+        }
+      }
+    }
+    accepted.fetch_add(mine, std::memory_order_relaxed);
+  });
+  service->close();
+  const std::size_t drained = service->drain([](K, V) {});
+
+  const ServiceStats stats = service->stats();
+  EXPECT_EQ(stats.submitted, accepted.load());
+  EXPECT_EQ(stats.drained, drained);
+  EXPECT_EQ(stats.submitted,
+            stats.delivered + stats.drained + stats.shed_deadline);
+  EXPECT_GT(stats.delivered, 0u);
+  EXPECT_EQ(service->in_flight(), 0u);
+}
+
+// in_flight() and the telemetry gauges sum every thread id's block: work
+// submitted on one handle and delivered on others balances, and stays
+// balanced once those handles are gone.
+TEST(PriorityService, InFlightAndGaugesSumEveryThreadsCounts) {
+  struct Gauges {
+    std::map<std::string, double> values;
+    void set(const char* name, double value) { values[name] = value; }
+  };
+  auto service = make_lock_service(3, {});
+  {
+    auto producer = service->get_handle(0);
+    auto consumer_a = service->get_handle(1);
+    auto consumer_b = service->get_handle(2);
+    for (K key = 0; key < 6; ++key) ASSERT_TRUE(producer.insert(key, key));
+    K key;
+    V value;
+    ASSERT_TRUE(consumer_a.delete_min(key, value));
+    ASSERT_TRUE(consumer_a.delete_min(key, value));
+    ASSERT_TRUE(consumer_b.delete_min(key, value));
+    EXPECT_EQ(service->in_flight(), 3u);
+  }
+  EXPECT_EQ(service->in_flight(), 3u);
+  Gauges gauges;
+  service->fill_gauges(gauges);
+  EXPECT_EQ(gauges.values["submitted"], 6.0);
+  EXPECT_EQ(gauges.values["delivered"], 3.0);
+  EXPECT_EQ(gauges.values["in_flight"], 3.0);
+  EXPECT_EQ(gauges.values["shed"], 0.0);
+}
+
+// A buffered queue's handle holds inserts back until its batch fills or
+// the handle goes away; the service adds no flush of its own. Tasks in
+// that buffer are already accepted, so they count as in flight.
+TEST(PriorityService, BufferedQueueTasksPublishOnBatchOrHandleTeardown) {
+  const unsigned batch = MqEngConfig{}.ins_buffer;
+  ASSERT_GT(batch, 4u);
+  auto service = make_mq_eng_service(2, {});
+  auto consumer = service->get_handle(1);
+  K key;
+  V value;
+  // Pops until `want` tasks arrived; a relaxed queue may miss transiently.
+  auto collect = [&](std::size_t want) {
+    std::size_t got = 0;
+    for (int attempt = 0; attempt < 10'000 && got < want; ++attempt) {
+      if (consumer.delete_min(key, value)) ++got;
+    }
+    return got;
+  };
+  {
+    auto producer = service->get_handle(0);
+    for (K k = 0; k + 1 < batch; ++k) producer.insert(k, k);
+    EXPECT_EQ(service->in_flight(), batch - 1);
+    EXPECT_FALSE(consumer.delete_min(key, value));  // still buffered
+
+    producer.insert(batch - 1, 0);  // the batch is full: published
+    EXPECT_EQ(collect(batch), batch);
+
+    for (K k = 0; k < 3; ++k) producer.insert(k, k);
+    EXPECT_FALSE(consumer.delete_min(key, value));
+  }  // teardown spills the partial batch
+  EXPECT_EQ(collect(3), 3u);
+  EXPECT_FALSE(consumer.delete_min(key, value));
+  EXPECT_EQ(service->in_flight(), 0u);
+}
+
+// chaos_stall(us) makes every submit and delete_min wait before it
+// touches the queue; 0 clears it. Nothing is lost while it holds.
+TEST(PriorityService, ChaosStallDelaysEveryQueueOperationUntilCleared) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::uint32_t kStallUs = 2'000;
+  auto service = make_lock_service(1, {});
   auto handle = service->get_handle(0);
-  Xoroshiro128 rng(21);
-  for (std::uint64_t i = 0; i < 4000; ++i) {
-    handle.insert(rng.next_below(1u << 30), i);
-  }
-  handle.flush();
-  for (const ShardStats& shard : service->stats().shards) {
-    // Two-choice flushing keeps every shard within a small factor of the
-    // 1000-task fair share; a broken router starves at least one shard.
-    EXPECT_GT(shard.enqueued, 250u);
-  }
+  service->chaos_stall(kStallUs);
+  auto start = Clock::now();
+  ASSERT_TRUE(handle.insert(7, 70));
+  EXPECT_GE(Clock::now() - start, std::chrono::microseconds(kStallUs));
+  K key;
+  V value;
+  start = Clock::now();
+  ASSERT_TRUE(handle.delete_min(key, value));
+  EXPECT_GE(Clock::now() - start, std::chrono::microseconds(kStallUs));
+  EXPECT_EQ(key, 7u);
+  EXPECT_EQ(value, 70u);
+
+  service->chaos_stall(0);
+  ASSERT_TRUE(handle.insert(8, 80));
+  ASSERT_TRUE(handle.delete_min(key, value));
+  EXPECT_EQ(key, 8u);
+  EXPECT_EQ(service->stats().delivered, 2u);
 }
 
 TEST(PriorityService, WrappedInCheckedQueueConservesTasks) {
   constexpr unsigned kThreads = 4;
   ServiceConfig cfg;
-  cfg.shards = 2;
-  cfg.insert_batch = 4;
-  cfg.delete_batch = 4;
-  using Service = PriorityService<MultiQueue<K, V>>;
-  validation::CheckedQueue<Service> checked(
-      kThreads,
-      std::make_unique<Service>(kThreads, cfg, [&](unsigned shard) {
-        return std::make_unique<MultiQueue<K, V>>(kThreads, 4, shard + 1);
-      }));
+  validation::CheckedQueue<MqService> checked(
+      kThreads, make_mq_eng_service(kThreads, cfg));
 
   run_team(kThreads, [&](unsigned tid) {
     auto handle = checked.get_handle(tid);
@@ -348,7 +433,7 @@ TEST(ServiceBench, RawAndServiceRunsDeliverTasks) {
   const ServiceBenchResult service = run_open_loop_service(factory, cfg);
   EXPECT_GT(service.submitted, 0u);
   EXPECT_GT(service.delivered, 0u);
-  EXPECT_GE(service.stats.flushes, 1u);
+  EXPECT_EQ(service.stats.drained, service.drained);
   // Shutdown accounting: everything accepted (prefill included — it goes
   // through the same handle path) was delivered or recovered by the drain.
   EXPECT_EQ(service.stats.submitted,
@@ -384,13 +469,10 @@ TEST(ServiceBench, PoissonArrivalsThrottleOfferedLoad) {
 }
 
 TEST(ServiceBench, QualityReplayScoresServiceRelaxation) {
-  auto factory = [](unsigned threads, std::uint64_t) {
-    return std::make_unique<Lock>(threads);
+  auto factory = [](unsigned threads, std::uint64_t seed) {
+    return std::make_unique<Mq>(threads, MqEngConfig{}, seed);
   };
   ServiceBenchConfig cfg = tiny_bench();
-  cfg.service.shards = 4;
-  cfg.service.insert_batch = 16;
-  cfg.service.delete_batch = 16;
   const ServiceBenchResult result = run_open_loop_service(factory, cfg);
   EXPECT_GT(result.deletions, 0u);
   EXPECT_GE(result.median_rank_error, 0.0);

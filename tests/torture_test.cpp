@@ -519,11 +519,11 @@ TEST_F(FcTortureTest, CombinerHandoffSeamsStayConservative) {
 
 // ---- the PriorityService layer over every roster queue -------------------
 
-// The dispatch engine (sharding, insertion/deletion buffers, admission
-// control) must preserve exactly-once delivery on top of *any* shard queue,
-// with every queue-internal seam stretched by injection. The CheckedQueue
-// audit wraps the whole service, so a task lost in a buffer, dropped in a
-// flush, or double-delivered by a refill fails with the full report.
+// The dispatch layer (admission control, deadline envelopes) must preserve
+// exactly-once delivery on top of *any* roster queue, with every
+// queue-internal seam stretched by injection. The CheckedQueue audit wraps
+// the whole service, so a task lost or double-delivered anywhere between
+// submit and pop fails with the full report.
 template <typename Q>
 std::unique_ptr<service::PriorityService<Q>> make_service(
     unsigned threads, const service::ServiceConfig& cfg) {
@@ -540,9 +540,6 @@ TYPED_TEST(ServiceTortureTest, DispatchConservesTasksUnderInjection) {
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kOpsPerThread = 4000;
   service::ServiceConfig scfg;
-  scfg.shards = 2;
-  scfg.insert_batch = 4;
-  scfg.delete_batch = 4;
   using Service = service::PriorityService<TypeParam>;
   validation::CheckedQueue<Service> queue(
       kThreads, make_service<TypeParam>(kThreads, scfg));
@@ -574,9 +571,6 @@ TYPED_TEST(ServiceTortureTest, BackpressureShutdownConservesTasks) {
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kPerProducer = 4000;
   service::ServiceConfig scfg;
-  scfg.shards = 2;
-  scfg.insert_batch = 4;
-  scfg.delete_batch = 4;
   scfg.max_in_flight = 64;
   scfg.policy = service::AdmissionPolicy::kBlock;
   using Service = service::PriorityService<TypeParam>;
